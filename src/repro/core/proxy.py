@@ -46,9 +46,12 @@ deterministically.  See ``docs/RESILIENCE.md``.
 from __future__ import annotations
 
 import http.client
+import json
+import threading
 import time
 from dataclasses import dataclass
 from typing import Any, Iterable
+from urllib.parse import urlsplit
 
 from repro.core.compiled import DecisionCache, canonical_body_key
 from repro.core.enforcement import ValidationResult, Validator
@@ -58,19 +61,24 @@ from repro.core.shards import (
     new_decision_cache,
     shards_enabled,
 )
-from repro.k8s.apiserver import APIServer, ApiRequest, ApiResponse
+from repro.k8s.apiserver import APIServer, ApiRequest, ApiResponse, User
 from repro.k8s.errors import ApiError
+from repro.k8s.gvk import registry as default_registry
+from repro.k8s.http import (
+    HttpService,
+    JsonRequestHandler,
+    parse_rest_path,
+    rest_verb,
+)
 from repro.obs import (
-    PROFILER,
-    TimeSeriesRing,
     current_trace_id,
     new_phase_clock,
     new_registry,
-    obs_endpoint,
     span,
     trace,
 )
 from repro.obs.analytics.events import SecurityEvent, new_event_bus
+from repro.obs.analytics.slo import SloEngine
 from repro.obs.refine.profiler import manifest_field_sample
 from repro.yamlutil import deep_copy
 from repro.resilience import (
@@ -89,12 +97,20 @@ from repro.resilience import (
 #: Verbs whose payload is validated.
 _WRITE_VERBS = frozenset({"create", "update", "patch"})
 
-#: HTTP methods safe to re-execute after a transport error.  A reset
-#: or truncated read mid-write leaves it unknown whether the upstream
-#: already applied the request, so non-idempotent methods only retry
-#: on failure *results* (5xx responses, which imply non-processing) --
-#: see HttpKubeFenceProxy's upstream_call.
+#: Verbs whose 200 answer fail-static may serve again during an outage.
+_STALE_READ_VERBS = frozenset({"get", "list"})
+
+#: HTTP methods safe to re-execute after a transport error (see
+#: :meth:`HttpUpstream.replay_safe`).
 _IDEMPOTENT_METHODS = frozenset({"GET", "HEAD"})
+
+#: What :class:`HttpUpstream` answers for an upstream reply it cannot
+#: parse.  A sentinel: this 502 is the proxy's own verdict on a request
+#: the upstream may well have applied, so the guard must not count it
+#: as an upstream "not processed" 5xx and replay the request.
+BAD_UPSTREAM_BODY = ApiError(
+    502, "BadGateway", "upstream returned an unparseable body"
+)
 
 #: Ring-buffer size for per-request validation latency samples.
 _MAX_LATENCY_SAMPLES = 8192
@@ -577,18 +593,49 @@ class ValidationGate:
         return result
 
 
+def _upstream_reported_failure(response: ApiResponse) -> bool:
+    """A retryable 5xx the *upstream* sent (see :data:`BAD_UPSTREAM_BODY`)."""
+    return (response.code in RETRYABLE_STATUS_CODES
+            and response.error is not BAD_UPSTREAM_BODY)
+
+
+def _object_name(request: ApiRequest) -> str:
+    """The object a request names: the body's ``metadata.name`` (what a
+    write actually creates), else the name in the request itself."""
+    body = request.body
+    meta = body.get("metadata") if isinstance(body, dict) else None
+    name = meta.get("name") if isinstance(meta, dict) else None
+    return name if name and isinstance(name, str) else (request.name or "")
+
+
+def _denial(request: ApiRequest, violations: Iterable[Any]) -> DenialRecord:
+    return DenialRecord(
+        username=request.user.username,
+        verb=request.verb,
+        kind=request.kind,
+        name=_object_name(request),
+        violations=tuple(str(v) for v in violations),
+    )
+
+
 class KubeFenceProxy:
-    """In-process enforcement proxy implementing the client Transport.
+    """The enforcement proxy: one decision path for every transport.
+
+    :meth:`submit` is the only implementation of gate -> shadow ->
+    deny | forward-under-guard -> stale-read/refuse -> stats, events
+    and phase stamps.  In-process it implements the client Transport
+    over an :class:`APIServer`; :class:`HttpKubeFenceProxy` puts the
+    same object behind a socket with an :class:`HttpUpstream` as *api*.
 
     With a :class:`~repro.resilience.ResilienceConfig` the upstream
     hop runs under retry + circuit breaking + a per-request deadline;
     when the upstream is unavailable the proxy **fails closed**:
     validated writes are refused with 503 while denials keep being
     issued locally (the validation gate needs no upstream).  With
-    ``degraded_mode="fail-static"`` successful ``get`` responses are
-    additionally kept in an identity-keyed :class:`StaleReadCache`, so
-    reads survive an outage for the same user that originally fetched
-    them (writes still refuse; see docs/RESILIENCE.md).  The default
+    ``degraded_mode="fail-static"`` successful reads are additionally
+    kept in an identity-keyed :class:`StaleReadCache`, so they survive
+    an outage for the same user that originally fetched them (writes
+    still refuse; see docs/RESILIENCE.md).  The default
     (``resilience=None``) leaves the upstream call untouched -- zero
     added work on the fault-free benchmark path.
     """
@@ -602,7 +649,17 @@ class KubeFenceProxy:
         resilience: ResilienceConfig | None = None,
         event_bus: Any | None = None,
     ):
+        #: the upstream: anything with ``handle(request) -> ApiResponse``.
         self.api = api
+        # Failure *results* (a 5xx the upstream itself sent implies
+        # non-processing) are retried for every request.  After a
+        # transport error (reset, timeout, truncated read) it is
+        # unknown whether the upstream applied the request, so the
+        # upstream object says whether replaying is safe.  One without
+        # ``replay_safe`` always is: the in-process chaos wrapper
+        # raises *instead of* handling; a real wire (HttpUpstream) is
+        # only for idempotent methods.
+        self._replay_safe = getattr(api, "replay_safe", None)
         self.denials: list[DenialRecord] = []
         self.stats = ProxyStats()
         self.gate = ValidationGate(validator, self.stats, cache_size, engine)
@@ -632,8 +689,9 @@ class KubeFenceProxy:
             self._guard = UpstreamGuard(
                 resilience.retry,
                 self.breaker,
-                # TimeoutError/ConnectionError are OSError subclasses.
-                retry_on=(OSError,),
+                # Timeouts and resets are OSErrors; a truncated reply
+                # (IncompleteRead) is an HTTPException.
+                retry_on=(http.client.HTTPException, OSError),
                 on_retry=lambda _attempt, _delay: stats.count_retry(),
                 on_failure=lambda failure: stats.count_upstream_error(
                     upstream_failure_kind(failure)
@@ -655,7 +713,7 @@ class KubeFenceProxy:
         """Intercept, validate, and forward or deny -- all under one
         request trace (the API server joins it, so the audit event
         carries the same trace id)."""
-        with trace("proxy.request"):
+        with trace("proxy.request", trace_id=request.trace_id):
             self.stats.count_request()
             bus = self.events
             started = time.perf_counter_ns() if bus.enabled else 0
@@ -669,32 +727,19 @@ class KubeFenceProxy:
                         user=request.user.username, verb=request.verb,
                     )
                 if not result.allowed:
-                    response = self._deny(request, result)
-                    if bus.enabled:
-                        self._publish_decision(
-                            request, "deny", response.code,
-                            latency_ns=time.perf_counter_ns() - started,
-                            detail={
-                                "reason": denial_reason(result.violations),
-                                "violations": [str(v) for v in result.violations],
-                            },
-                        )
-                    return response
-            note: dict[str, str] | None = {} if bus.enabled else None
-            response = self._forward(request, note)
+                    return self._deny(request, result, started)
+            response = self._forward(request)
             if bus.enabled:
-                assert note is not None
-                outcome = note.get("outcome") or (
+                degraded = response.degraded
+                outcome = "degraded" if degraded else (
                     "allow" if response.ok else "error"
                 )
                 # Routine allows are head-sampled (REPRO_EVENT_SAMPLE);
                 # anything security-relevant always publishes.
                 if outcome != "allow" or bus.sampled():
-                    detail = {"mode": note["mode"]} if "mode" in note else {}
                     self._publish_decision(
-                        request, outcome, response.code,
-                        latency_ns=time.perf_counter_ns() - started,
-                        detail=detail,
+                        request, outcome, response.code, started,
+                        {"mode": degraded[0]} if degraded else {},
                     )
             return response
 
@@ -703,23 +748,21 @@ class KubeFenceProxy:
         request: ApiRequest,
         outcome: str,
         code: int,
-        latency_ns: int = 0,
-        detail: dict[str, Any] | None = None,
+        started: int,
+        detail: dict[str, Any],
     ) -> None:
-        """One enforcement verdict onto the security-event stream."""
-        name = request.name or ""
-        if not name and isinstance(request.body, dict):
-            name = request.body.get("metadata", {}).get("name", "")
+        """One enforcement verdict onto the security-event stream
+        (*started*: the request's ``perf_counter_ns`` at intercept)."""
+        now = time.perf_counter_ns()
+        if request.path is not None:
+            detail["path"] = request.path
         if (
             self.observe_fields
             and outcome == "allow"
             and request.verb in _WRITE_VERBS
             and isinstance(request.body, dict)
         ):
-            fields, values = manifest_field_sample(request.body)
-            detail = dict(detail or {})
-            detail["fields"] = fields
-            detail["values"] = values
+            detail["fields"], detail["values"] = manifest_field_sample(request.body)
         self.events.publish(SecurityEvent(
             kind="decision",
             source="proxy",
@@ -727,18 +770,19 @@ class KubeFenceProxy:
             user=request.user.username,
             verb=request.verb,
             resource=request.kind,
-            name=name,
+            name=_object_name(request),
             namespace=request.namespace or "",
             outcome=outcome,
             code=code,
             trace_id=current_trace_id() or "",
-            latency_ns=latency_ns,
-            detail=detail or {},
+            latency_ns=now - started,
+            detail=detail,
         ))
+        phases = self.stats.phases
+        if phases.enabled:
+            phases.telemetry(time.perf_counter_ns() - now)
 
-    def _forward(
-        self, request: ApiRequest, note: dict[str, str] | None = None
-    ) -> ApiResponse:
+    def _forward(self, request: ApiRequest) -> ApiResponse:
         """The upstream hop, guarded when resilience is configured.
 
         A retryable upstream 5xx that survives the whole schedule is
@@ -746,123 +790,237 @@ class KubeFenceProxy:
         breaker refusals and exhausted transports become a local 503
         -- never a silent allow.
         """
-        if self._guard is None:
+        guard = self._guard
+        if guard is None:
             return self.api.handle(request)
         assert self.resilience is not None
+        phases = self.stats.phases
+        sent = time.perf_counter_ns() if phases.enabled else 0
+        request.deadline = deadline = self.resilience.deadline()
+        replay_safe = self._replay_safe
         try:
-            # In-process transport retries are replay-safe for every
-            # verb: the chaos wrapper (FaultyAPIServer) raises its
-            # injected resets/timeouts *instead of* handling, never
-            # after a write was applied.  The HTTP proxy cannot assume
-            # that about a real wire and restricts transport retries
-            # to idempotent methods.
-            response = self._guard.call(
+            response = guard.call(
                 lambda: self.api.handle(request),
-                deadline=self.resilience.deadline(),
-                is_failure=lambda resp: resp.code in RETRYABLE_STATUS_CODES,
+                deadline=deadline,
+                is_failure=_upstream_reported_failure,
+                retry_transport_errors=(
+                    replay_safe is None or replay_safe(request)
+                ),
             )
-        except CircuitOpenError as err:
-            self.stats.count_upstream_error("breaker-open")
-            return self._degrade(request, err, note)
-        except (UpstreamUnavailable, DeadlineExceeded) as err:
-            return self._degrade(request, err, note)
-        if (self._read_cache is not None and request.verb == "get"
-                and response.code == 200 and response.body is not None):
-            self._read_cache.put(
-                self._stale_key(request), deep_copy(response.body)
-            )
+        except (CircuitOpenError, UpstreamUnavailable, DeadlineExceeded) as err:
+            if isinstance(err, CircuitOpenError):
+                self.stats.count_upstream_error("breaker-open")
+            response = self._degrade(request, err)
+        else:
+            if (self._read_cache is not None and response.code == 200
+                    and request.verb in _STALE_READ_VERBS
+                    and response.body is not None):
+                self._read_cache.put(
+                    self._stale_key(request), deep_copy(response.body)
+                )
+        if sent:
+            phases.upstream(time.perf_counter_ns() - sent)
         return response
 
     def _stale_key(self, request: ApiRequest) -> str:
         """Stale-cache key scoped to the authenticated identity: the
         upstream authorizes reads per user, so a cached 200 is only
-        valid for the identity it was originally served to."""
+        valid for the identity it was originally served to.  The
+        locator is the URL path when the request arrived on one."""
         return stale_read_key(
             request.user.username,
             ",".join(request.user.groups),
-            f"{request.kind}/{request.namespace or ''}/{request.name or ''}",
+            request.path
+            or f"{request.kind}/{request.namespace or ''}/{request.name or ''}",
         )
 
-    def _degrade(
-        self,
-        request: ApiRequest,
-        err: Exception,
-        note: dict[str, str] | None = None,
-    ) -> ApiResponse:
+    def _degrade(self, request: ApiRequest, err: Exception) -> ApiResponse:
         """The upstream is unavailable.  ``fail-static`` may serve a
         same-identity stale read; everything else is refused with 503
-        -- a would-be denial is never converted into an allow (denials
-        already happened before forwarding).  *note*, when present, is
-        annotated with the degraded outcome so the caller publishes an
-        honest decision event."""
-        if self._read_cache is not None and request.verb == "get":
+        (fail closed, see docs/RESILIENCE.md) -- a would-be denial is
+        never converted into an allow (denials already happened before
+        forwarding).  The answer's ``degraded`` says which, so the
+        event is honest and the transport can flag it."""
+        if self._read_cache is not None and request.verb in _STALE_READ_VERBS:
             assert self.resilience is not None
             cached = self._read_cache.get(
                 self._stale_key(request), self.resilience.read_cache_ttl
             )
             if cached is not None:
-                _age, payload = cached
+                age, payload = cached
                 self.stats.count_degraded("stale-read")
-                if note is not None:
-                    note["outcome"] = "degraded"
-                    note["mode"] = "stale-read"
-                return ApiResponse(code=200, body=deep_copy(payload))
-        return self._refuse(err, note)
-
-    def _refuse(
-        self, err: Exception, note: dict[str, str] | None = None
-    ) -> ApiResponse:
-        """Fail closed: the upstream is unavailable, so the request is
-        refused locally with 503 (see docs/RESILIENCE.md)."""
+                response = ApiResponse(code=200, body=deep_copy(payload))
+                response.degraded = ("stale-read", age)
+                return response
         self.stats.count_degraded("refused")
-        if note is not None:
-            note["outcome"] = "degraded"
-            note["mode"] = "refused"
-        return ApiResponse.from_error(ApiError(
+        response = ApiResponse.from_error(ApiError(
             503, "ServiceUnavailable",
             f"KubeFence: upstream API server unavailable; failing closed ({err})",
         ))
+        response.degraded = ("refused", 0.0)
+        return response
 
-    def _deny(self, request: ApiRequest, result: ValidationResult) -> ApiResponse:
-        name = ""
-        if request.body:
-            name = request.body.get("metadata", {}).get("name", "")
+    def _deny(
+        self, request: ApiRequest, result: ValidationResult, started: int
+    ) -> ApiResponse:
+        """Count, record and publish the denial; answer 403 naming the
+        offending fields (paper Sec. V-B)."""
+        reason = denial_reason(result.violations)
         self.stats.count_denial(
-            operator=self.validator.operator,
-            kind=request.kind,
-            reason=denial_reason(result.violations),
+            operator=self.validator.operator, kind=request.kind, reason=reason
         )
-        record = DenialRecord(
-            username=request.user.username,
-            verb=request.verb,
-            kind=request.kind,
-            name=name or (request.name or ""),
-            violations=tuple(str(v) for v in result.violations),
-        )
+        record = _denial(request, result.violations)
         self.denials.append(record)
-        error = ApiError.forbidden(
+        if self.events.enabled:
+            self._publish_decision(
+                request, "deny", 403, started,
+                {"reason": reason, "violations": list(record.violations)},
+            )
+        return ApiResponse.from_error(ApiError.forbidden(
             f"KubeFence policy for workload {self.validator.operator!r} denied "
             f"{request.verb} of {request.kind}/{record.name}: {result.summary()}",
-            violations=[str(v) for v in result.violations],
+            violations=list(record.violations),
+        ))
+
+
+@dataclass
+class WireRequest(ApiRequest):
+    """An :class:`ApiRequest` as it arrived on the HTTP proxy's socket:
+    what the decision path reads, plus what :class:`HttpUpstream`
+    re-sends verbatim."""
+
+    method: str = "GET"
+    path: str = "/"
+    raw: bytes | None = None
+    trace_id: str | None = None
+
+
+class HttpUpstream:
+    """The upstream API server behind a socket: ``handle(request)``
+    like :class:`APIServer`, over one pooled keep-alive
+    ``http.client.HTTPConnection`` per worker thread (both ends speak
+    HTTP/1.1), so the hop does not pay a TCP handshake per request;
+    ``ProxyStats.connections_opened/reused`` surface the pool."""
+
+    def __init__(self, base_url: str, request_timeout: float):
+        split = urlsplit(base_url)
+        self._address = (split.hostname or "127.0.0.1", split.port or 80)
+        self.request_timeout = request_timeout
+        self._pool = threading.local()
+        #: the owning proxy's stats (bound once the proxy has built them)
+        self.stats: ProxyStats | None = None
+
+    @staticmethod
+    def replay_safe(request: WireRequest) -> bool:
+        """An IncompleteRead after a POST may mean the upstream already
+        applied the create; replaying it would apply the write twice."""
+        return request.method in _IDEMPOTENT_METHODS
+
+    def _connection(self, timeout: float) -> http.client.HTTPConnection:
+        conn = getattr(self._pool, "conn", None)
+        if conn is None:
+            conn = self._pool.conn = http.client.HTTPConnection(
+                *self._address, timeout=timeout
+            )
+        conn.timeout = timeout
+        if conn.sock is not None:
+            conn.sock.settimeout(timeout)
+        self.stats.count_connection(reused=conn.sock is not None)
+        return conn
+
+    def handle(self, request: WireRequest) -> ApiResponse:
+        """One upstream round trip; the socket timeout is clamped to
+        what is left of the request's deadline."""
+        timeout = self.request_timeout
+        if request.deadline is not None:
+            timeout = max(0.05, request.deadline.clamp(timeout))
+        conn = self._connection(timeout)
+        user = request.user
+        headers = {
+            "Content-Type": "application/json",
+            # Re-assert the caller identity the upstream trusts.
+            "X-Remote-User": user.username,
+            "X-Remote-Groups": ",".join(user.groups),
+            "X-Trace-Id": current_trace_id() or "",
+        }
+        try:
+            with span("proxy.forward"):
+                conn.request(request.method, request.path,
+                             body=request.raw, headers=headers)
+                reply = conn.getresponse()
+                data = reply.read()
+        except BaseException:
+            # Stale pooled socket, reset, timeout, truncated read: the
+            # connection state is unknown -- drop it.
+            conn.close()
+            self._pool.conn = None
+            raise
+        try:
+            return ApiResponse(reply.status, json.loads(data or b"{}"))
+        except ValueError:
+            self.stats.count_upstream_error("bad-payload")
+            return ApiResponse.from_error(BAD_UPSTREAM_BODY)
+
+
+class _ProxyHandler(JsonRequestHandler):
+    """The HTTP transport: read the request, build the request object,
+    call :meth:`KubeFenceProxy.submit`, render what it returns."""
+
+    def handle_api(self) -> None:
+        read = self.read_json()
+        if read is None:
+            return
+        raw, body = read
+        phases = self.phases
+        mark = time.perf_counter_ns() if phases.enabled else 0
+        try:
+            kind, namespace, name = parse_rest_path(self.path, default_registry)
+        except (ValueError, KeyError):
+            # Unroutable: forwarded as-is, the upstream answers 404.
+            kind, namespace, name = "", None, None
+        if body is not None and isinstance(body.get("kind"), str):
+            kind = body["kind"]  # the kind the validator judges
+        groups = self.headers.get("X-Remote-Groups", "")
+        request = WireRequest(
+            verb=rest_verb(self.command, name),
+            kind=kind,
+            user=User(self.headers.get("X-Remote-User", ""),
+                      tuple(g for g in groups.split(",") if g)),
+            namespace=namespace or "default",
+            name=name,
+            body=body,
+            source_ip=self.client_address[0],
+            method=self.command,
+            path=self.path,
+            raw=raw or None,
+            trace_id=self.headers.get("X-Trace-Id") or None,
         )
-        return ApiResponse.from_error(error)
+        if mark:
+            # The proxy's authn share: routing the path and extracting
+            # the caller identity it re-asserts upstream.
+            phases.authn(time.perf_counter_ns() - mark)
+        response = self.service.submit(request)
+        degraded = response.degraded
+        self.reply(
+            response.code,
+            response.body if response.body is not None else {},
+            (("X-KubeFence-Degraded", f"stale-read; age={degraded[1]:.1f}s"),)
+            if degraded and degraded[0] == "stale-read" else (),
+        )
 
 
-class HttpKubeFenceProxy:
+class HttpKubeFenceProxy(KubeFenceProxy, HttpService):
     """The proxy as a real HTTP reverse proxy (stdlib only).
 
     Mirrors the paper's mitmproxy deployment: clients speak HTTP to the
     proxy, which validates write bodies and forwards allowed requests
-    to the upstream API server over HTTP.
-
-    Forwarding uses a pooled keep-alive ``http.client.HTTPConnection``
-    per worker thread (the proxy and the mini API server both speak
-    HTTP/1.1), so the upstream hop does not pay a TCP handshake per
-    request; ``ProxyStats.connections_opened/reused`` surface the pool
-    behavior.
+    to the upstream API server over HTTP.  It *is* a
+    :class:`KubeFenceProxy` -- same ``submit``, same stats, events and
+    degradation -- whose upstream is an :class:`HttpUpstream` and whose
+    default posture is :data:`DEFAULT_RESILIENCE`.
 
     Observability surfaces: ``GET /metrics`` (Prometheus text),
-    ``/healthz``/``/readyz``, and ``/obs/traces``; each proxied request
+    ``/healthz``/``/readyz``, and ``/obs/*``; each proxied request
     runs under a trace whose id is forwarded upstream in the
     ``X-Trace-Id`` header, so the API server's audit log correlates.
     """
@@ -874,506 +1032,27 @@ class HttpKubeFenceProxy:
                  resilience: ResilienceConfig | None = None,
                  event_bus: Any | None = None,
                  slo: Any | None = None):
-        import json
-        import threading
-        from http.server import BaseHTTPRequestHandler
-        from urllib.parse import urlsplit
-
-        from repro.k8s.http import new_http_server
-
-        proxy = self
         self.upstream = upstream_base_url.rstrip("/")
-        self.denials: list[DenialRecord] = []
-        self.stats = ProxyStats()
-        self.gate = ValidationGate(validator, self.stats, cache_size, engine)
-        #: security-analytics stream (served at /obs/events); NULL
-        #: under REPRO_NO_OBS=1.
-        self.events = event_bus if event_bus is not None else new_event_bus()
+        if resilience is None:
+            resilience = DEFAULT_RESILIENCE
+        upstream = HttpUpstream(self.upstream, resilience.request_timeout)
+        super().__init__(
+            upstream, validator, cache_size, engine, resilience, event_bus
+        )
+        upstream.stats = self.stats
         #: SLO engine (served at /obs/slo): by default one per proxy,
         #: subscribed to the bus, exporting kubefence_slo_* gauges on
         #: the proxy registry.  Pass ``slo=`` to share an engine.
         self.slo = slo
         if self.slo is None and self.events.enabled:
-            from repro.obs.analytics.slo import SloEngine
-
             self.slo = SloEngine(registry=self.stats.registry)
             self.events.subscribe(self.slo.observe)
-        #: shadow-mode canary evaluator (RefineController.start_shadow).
-        self.shadow: Any | None = None
-        #: when True, allow decisions carry their manifest field sample.
-        self.observe_fields = False
-        #: the /obs/refine controller, when a refinement loop is wired.
-        self.refine: Any | None = None
-        #: the /obs/scan CVE scanner, when one is wired.
-        self.scanner: Any | None = None
-        #: in-process metrics ring (served at /obs/timeseries, the
-        #: ``repro top`` data source); ticking starts with the server.
-        self.timeseries = TimeSeriesRing(self.stats.registry)
-        self.resilience = res = (
-            resilience if resilience is not None else DEFAULT_RESILIENCE
+        self._bind(
+            (host, port), _ProxyHandler, self.stats.registry, "kubefence-proxy",
+            {"policy-bound": lambda: self.validator is not None}, self.events,
+            phases=self.stats.phases,
+            count_http_request=self.stats.count_http_request,
         )
-        stats = self.stats
-        self.breaker = res.make_breaker(
-            on_transition=lambda _old, new: stats.record_breaker_transition(new)
-        )
-        self._guard = UpstreamGuard(
-            res.retry,
-            self.breaker,
-            # IncompleteRead (truncated upstream reply) is an
-            # HTTPException; timeouts and resets are OSErrors.
-            retry_on=(http.client.HTTPException, OSError),
-            on_retry=lambda _attempt, _delay: stats.count_retry(),
-            on_failure=lambda failure: stats.count_upstream_error(
-                upstream_failure_kind(failure)
-            ),
-        )
-        self._read_cache: StaleReadCache | None = (
-            StaleReadCache(res.read_cache_size)
-            if res.degraded_mode == "fail-static" else None
-        )
-
-        split = urlsplit(self.upstream)
-        upstream_host = split.hostname or "127.0.0.1"
-        upstream_port = split.port or 80
-        pool = threading.local()
-
-        def upstream_connection(timeout: float) -> "http.client.HTTPConnection":
-            conn = getattr(pool, "conn", None)
-            if conn is None:
-                conn = http.client.HTTPConnection(
-                    upstream_host, upstream_port, timeout=timeout
-                )
-                pool.conn = conn
-            conn.timeout = timeout
-            if conn.sock is not None:
-                conn.sock.settimeout(timeout)
-            proxy.stats.count_connection(reused=conn.sock is not None)
-            return conn
-
-        def drop_connection() -> None:
-            conn = getattr(pool, "conn", None)
-            if conn is not None:
-                conn.close()
-                pool.conn = None
-
-        def upstream_call(
-            method: str, path: str, body: bytes | None, headers: dict[str, str]
-        ) -> tuple[int, bytes]:
-            """One guarded upstream round trip: breaker admission,
-            retry with decorrelated backoff, per-attempt socket
-            timeouts clamped to the per-request deadline.
-
-            Transport-level retries (reset, timeout, truncated read)
-            are restricted to idempotent methods: an IncompleteRead
-            after a POST may mean the upstream already applied the
-            create, and replaying it would apply the write twice.
-            Non-idempotent methods still retry on retryable 5xx
-            *results* -- those imply the request was not processed.
-            """
-            deadline = res.deadline()
-
-            def attempt() -> tuple[int, bytes]:
-                timeout = res.request_timeout
-                if deadline is not None:
-                    timeout = max(0.05, deadline.clamp(timeout))
-                conn = upstream_connection(timeout)
-                try:
-                    with span("proxy.forward"):
-                        conn.request(method, path, body=body, headers=headers)
-                        resp = conn.getresponse()
-                        data = resp.read()
-                except BaseException:
-                    # Stale pooled socket, reset, timeout, truncated
-                    # read: the connection state is unknown -- drop it.
-                    drop_connection()
-                    raise
-                return resp.status, data
-
-            return proxy._guard.call(
-                attempt,
-                deadline=deadline,
-                is_failure=lambda r: r[0] in RETRYABLE_STATUS_CODES,
-                retry_transport_errors=method in _IDEMPOTENT_METHODS,
-            )
-
-        self._upstream_call = upstream_call
-
-        class Handler(BaseHTTPRequestHandler):
-            #: HTTP/1.1 enables keep-alive on the client-facing side
-            #: too (all replies carry Content-Length).
-            protocol_version = "HTTP/1.1"
-
-            def log_message(self, fmt: str, *args: Any) -> None:
-                pass
-
-            def log_request(self, code: Any = "-", size: Any = "-") -> None:
-                # Access "log": a labeled counter instead of stderr.
-                proxy.stats.count_http_request(getattr(self, "command", "?"), code)
-
-            def _reply(self, code: int, payload: dict | list,
-                       extra_headers: tuple[tuple[str, str], ...] = ()) -> None:
-                phases = proxy.stats.phases
-                started = time.perf_counter_ns() if phases.enabled else 0
-                body = json.dumps(payload).encode()
-                self.send_response(code)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(body)))
-                for name, value in extra_headers:
-                    self.send_header(name, value)
-                self.end_headers()
-                self.wfile.write(body)
-                if started:
-                    phases.serialization(time.perf_counter_ns() - started)
-
-            def _serve_obs(self, head: bool = False) -> bool:
-                served = obs_endpoint(
-                    self.path,
-                    proxy.stats.registry,
-                    component="kubefence-proxy",
-                    ready_checks={"policy-bound": lambda: proxy.validator is not None},
-                    event_bus=proxy.events if proxy.events.enabled else None,
-                    slo=proxy.slo,
-                    refine=proxy.refine,
-                    scanner=proxy.scanner,
-                    profiler=PROFILER,
-                    timeseries=proxy.timeseries,
-                    accept=self.headers.get("Accept", ""),
-                )
-                if served is None:
-                    return False
-                status, content_type, body = served
-                self.send_response(status)
-                self.send_header("Content-Type", content_type)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                if not head:
-                    self.wfile.write(body)
-                return True
-
-            def _publish_decision(self, outcome: str, code: int,
-                                  resource: str = "", name: str = "",
-                                  detail: dict[str, Any] | None = None) -> None:
-                """One verdict onto the proxy's security-event stream."""
-                bus = proxy.events
-                if not bus.enabled:
-                    return
-                phases = proxy.stats.phases
-                publish_started = (
-                    time.perf_counter_ns() if phases.enabled else 0
-                )
-                if outcome == "allow" and not bus.sampled():
-                    return  # routine allows are head-sampled
-                started = getattr(self, "_started_ns", 0)
-                sample = getattr(self, "_field_sample", None)
-                if sample is not None and outcome == "allow":
-                    fields, values = sample
-                    detail = dict(detail or {})
-                    detail["fields"] = fields
-                    detail["values"] = values
-                bus.publish(SecurityEvent(
-                    kind="decision",
-                    source="proxy",
-                    ts=time.time(),
-                    user=self.headers.get("X-Remote-User", ""),
-                    verb=(getattr(self, "command", "") or "").lower(),
-                    resource=resource,
-                    name=name,
-                    outcome=outcome,
-                    code=code,
-                    trace_id=current_trace_id() or "",
-                    latency_ns=(
-                        time.perf_counter_ns() - started if started else 0
-                    ),
-                    detail={"path": self.path, **(detail or {})},
-                ))
-                if publish_started:
-                    phases.telemetry(
-                        time.perf_counter_ns() - publish_started
-                    )
-
-            def _forward(self, method: str, body: bytes | None,
-                         resource: str = "", name: str = "") -> None:
-                phases = proxy.stats.phases
-                started = time.perf_counter_ns() if phases.enabled else 0
-                headers = {
-                    "Content-Type": "application/json",
-                    "X-Remote-User": self.headers.get("X-Remote-User", ""),
-                    "X-Remote-Groups": self.headers.get("X-Remote-Groups", ""),
-                    "X-Trace-Id": current_trace_id() or "",
-                }
-                if started:
-                    # The proxy's authn share: extracting and re-asserting
-                    # the caller identity headers the upstream trusts.
-                    sent = time.perf_counter_ns()
-                    phases.authn(sent - started)
-                try:
-                    status, data = proxy._upstream_call(
-                        method, self.path, body, headers
-                    )
-                    if started:
-                        phases.upstream(time.perf_counter_ns() - sent)
-                except CircuitOpenError as err:
-                    proxy.stats.count_upstream_error("breaker-open")
-                    self._degraded_reply(method, err, resource, name)
-                    return
-                except (UpstreamUnavailable, DeadlineExceeded) as err:
-                    self._degraded_reply(method, err, resource, name)
-                    return
-                try:
-                    payload = json.loads(data or b"{}")
-                except ValueError:
-                    proxy.stats.count_upstream_error("bad-payload")
-                    self._publish_decision("error", 502, resource, name,
-                                           detail={"reason": "bad-payload"})
-                    self._reply(
-                        502,
-                        {"kind": "Status", "status": "Failure", "code": 502,
-                         "reason": "BadGateway",
-                         "message": "upstream returned an unparseable body"},
-                    )
-                    return
-                if (method == "GET" and status == 200
-                        and proxy._read_cache is not None):
-                    proxy._read_cache.put(self._stale_key(), payload)
-                self._publish_decision(
-                    "allow" if 200 <= status < 300 else "error",
-                    status, resource, name,
-                )
-                self._reply(status, payload)
-
-            def _stale_key(self) -> str:
-                """Stale-cache key scoped to the authenticated identity.
-
-                The upstream authorizes per user (X-Remote-User /
-                X-Remote-Groups -> RBAC), so a cached 200 is only valid
-                for the identity that originally received it.  Keying
-                by path alone would serve one user's cached read to
-                another during an outage -- turning an upstream RBAC
-                denial into an allow.
-                """
-                return stale_read_key(
-                    self.headers.get("X-Remote-User", ""),
-                    self.headers.get("X-Remote-Groups", ""),
-                    self.path,
-                )
-
-            def _degraded_reply(self, method: str, err: Exception,
-                                resource: str = "", name: str = "") -> None:
-                """The upstream is down.  fail-static may serve reads
-                from the stale cache; everything else is refused with
-                503 -- a would-be denial is never converted into an
-                allow (denials already happened before forwarding, and
-                stale reads are only served to the same authenticated
-                identity that originally fetched them)."""
-                if method == "GET" and proxy._read_cache is not None:
-                    cached = proxy._read_cache.get(
-                        self._stale_key(), proxy.resilience.read_cache_ttl
-                    )
-                    if cached is not None:
-                        age, payload = cached
-                        proxy.stats.count_degraded("stale-read")
-                        self._publish_decision(
-                            "degraded", 200, resource, name,
-                            detail={"mode": "stale-read"},
-                        )
-                        self._reply(200, payload, extra_headers=(
-                            ("X-KubeFence-Degraded", f"stale-read; age={age:.1f}s"),
-                        ))
-                        return
-                proxy.stats.count_degraded("refused")
-                self._publish_decision(
-                    "degraded", 503, resource, name,
-                    detail={"mode": "refused"},
-                )
-                self._reply(
-                    503,
-                    {"kind": "Status", "status": "Failure", "code": 503,
-                     "reason": "ServiceUnavailable",
-                     "message": "KubeFence: upstream API server unavailable; "
-                                f"failing closed ({err})"},
-                )
-
-            def _handle(self, method: str) -> None:
-                incoming = self.headers.get("X-Trace-Id") or None
-                phases = proxy.stats.phases
-                if not phases.enabled:
-                    with trace("proxy.request", trace_id=incoming):
-                        self._handle_traced(method)
-                    return
-                # Wall-clock denominator for the phase breakdown: the
-                # phase shares below divide into this total.  Stamped
-                # inside the trace bracket so tracer bookkeeping (span
-                # record under the buffer lock, which a concurrent
-                # /obs/traces reader can hold) stays out of the
-                # denominator instead of reading as unattributed time.
-                with trace("proxy.request", trace_id=incoming):
-                    wall_started = time.perf_counter_ns()
-                    self._handle_traced(method)
-                    phases.wall(time.perf_counter_ns() - wall_started)
-
-            def _handle_traced(self, method: str) -> None:
-                proxy.stats.count_request()
-                self._started_ns = (
-                    time.perf_counter_ns() if proxy.events.enabled else 0
-                )
-                self._field_sample = None
-                resource = name = ""
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length) if length else None
-                if method in ("POST", "PUT", "PATCH") and raw:
-                    phases = proxy.stats.phases
-                    parse_started = (
-                        time.perf_counter_ns() if phases.enabled else 0
-                    )
-                    try:
-                        manifest = json.loads(raw)
-                    except (ValueError, RecursionError):
-                        self._reply(
-                            400,
-                            {"kind": "Status", "status": "Failure", "code": 400,
-                             "reason": "BadRequest",
-                             "message": "request body is not valid JSON"},
-                        )
-                        return
-                    if not isinstance(manifest, dict):
-                        self._reply(
-                            400,
-                            {"kind": "Status", "status": "Failure", "code": 400,
-                             "reason": "BadRequest",
-                             "message": "request body must be a JSON object"},
-                        )
-                        return
-                    resource = manifest.get("kind", "")
-                    name = manifest.get("metadata", {}).get("name", "")
-                    if parse_started:
-                        phases.serialization(
-                            time.perf_counter_ns() - parse_started
-                        )
-                    with span("proxy.validate"):
-                        result = proxy.gate.check(manifest)
-                    shadow = proxy.shadow
-                    if shadow is not None:
-                        shadow.observe(
-                            manifest, result.allowed,
-                            user=self.headers.get("X-Remote-User", ""),
-                            verb=method.lower(),
-                        )
-                    if proxy.observe_fields and result.allowed:
-                        self._field_sample = manifest_field_sample(manifest)
-                    if not result.allowed:
-                        reason = denial_reason(result.violations)
-                        proxy.stats.count_denial(
-                            operator=proxy.validator.operator,
-                            kind=resource,
-                            reason=reason,
-                        )
-                        proxy.denials.append(
-                            DenialRecord(
-                                username=self.headers.get("X-Remote-User", ""),
-                                verb=method.lower(),
-                                kind=resource,
-                                name=name,
-                                violations=tuple(str(v) for v in result.violations),
-                            )
-                        )
-                        self._publish_decision(
-                            "deny", 403, resource, name,
-                            detail={
-                                "reason": reason,
-                                "violations": [
-                                    str(v) for v in result.violations
-                                ],
-                            },
-                        )
-                        self._reply(
-                            403,
-                            {
-                                "kind": "Status",
-                                "apiVersion": "v1",
-                                "status": "Failure",
-                                "reason": "Forbidden",
-                                "code": 403,
-                                "message": "KubeFence policy denied the request: "
-                                + result.summary(),
-                            },
-                        )
-                        return
-                self._forward(method, raw, resource, name)
-
-            def do_GET(self) -> None:
-                if self._serve_obs():
-                    return
-                self._handle("GET")
-
-            def do_HEAD(self) -> None:
-                # HEAD on the observability surfaces: full headers
-                # (correct Content-Length), no body.  API paths are
-                # proxied as GETs by clients; HEAD is obs-only here.
-                if self._serve_obs(head=True):
-                    return
-                self.send_response(405)
-                self.send_header("Allow", "GET, POST, PUT, PATCH, DELETE")
-                self.send_header("Content-Length", "0")
-                self.end_headers()
-
-            def do_POST(self) -> None:
-                self._handle("POST")
-
-            def do_PUT(self) -> None:
-                self._handle("PUT")
-
-            def do_PATCH(self) -> None:
-                self._handle("PATCH")
-
-            def do_DELETE(self) -> None:
-                self._handle("DELETE")
-
-        self._httpd = new_http_server((host, port), Handler)
-        self._thread: Any = None
-        self._threading = threading
-
-    @property
-    def validator(self) -> Validator:
-        return self.gate.validator
-
-    def install_validator(self, validator: Validator) -> None:
-        """Bind a new policy; invalidates the decision cache."""
-        self.gate.install(validator)
-
-    @property
-    def base_url(self) -> str:
-        host, port = self._httpd.server_address[:2]
-        return f"http://{host}:{port}"
-
-    def start(self) -> "HttpKubeFenceProxy":
-        # Refcounted: the profiler thread is shared process-wide and
-        # stops with the last component that acquired it.
-        PROFILER.acquire()
-        self.timeseries.start()
-        self._thread = self._threading.Thread(
-            target=self._httpd.serve_forever, daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            if self._thread.is_alive():  # pragma: no cover - hang guard
-                raise RuntimeError(
-                    "HttpKubeFenceProxy serve thread failed to stop within 5s"
-                )
-            self._thread = None
-            self.timeseries.stop()
-            PROFILER.release()
-
-    def __enter__(self) -> "HttpKubeFenceProxy":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
 
 
 class MultiPolicyProxy:
@@ -1439,17 +1118,8 @@ class MultiPolicyProxy:
             return proxy.submit(request)
         if self.read_through and request.verb in ("get", "list", "watch"):
             return self.api.handle(request)
-        name = ""
-        if request.body:
-            name = request.body.get("metadata", {}).get("name", "")
         self.unbound_denials.append(
-            DenialRecord(
-                username=request.user.username,
-                verb=request.verb,
-                kind=request.kind,
-                name=name or (request.name or ""),
-                violations=("no policy bound to this identity",),
-            )
+            _denial(request, ("no policy bound to this identity",))
         )
         return ApiResponse.from_error(
             ApiError.forbidden(

@@ -31,7 +31,6 @@ same ``/metrics`` surface as the proxy's reaction to it.
 
 from __future__ import annotations
 
-import json
 import random
 import socket
 import struct
@@ -204,17 +203,8 @@ class FaultInjector:
             time.sleep(decision.value / 1000.0)
             return False
         if kind == "error":
-            code = int(decision.value)
-            payload = json.dumps({
-                "kind": "Status", "status": "Failure", "code": code,
-                "reason": "ServiceUnavailable" if code == 503 else "InternalError",
-                "message": f"injected fault: {self.plan.name} ({kind})",
-            }).encode()
-            handler.send_response(code)
-            handler.send_header("Content-Type", "application/json")
-            handler.send_header("Content-Length", str(len(payload)))
-            handler.end_headers()
-            handler.wfile.write(payload)
+            error = self.injected_error(int(decision.value))
+            handler.reply(error.code, error.to_status())
             return True
         if kind == "hang":
             time.sleep(decision.value)
@@ -237,6 +227,14 @@ class FaultInjector:
             pass
         self._reset_connection(handler)
         return True
+
+    def injected_error(self, code: int) -> ApiError:
+        """The protocol-space fault: the upstream's own 5xx ``Status``."""
+        return ApiError(
+            code,
+            "ServiceUnavailable" if code == 503 else "InternalError",
+            f"injected fault: {self.plan.name} (error)",
+        )
 
     @staticmethod
     def _reset_connection(handler: Any) -> None:
@@ -277,12 +275,9 @@ class FaultyAPIServer:
         if kind == "delay":
             time.sleep(decision.value / 1000.0)
         elif kind == "error":
-            code = int(decision.value)
-            return ApiResponse.from_error(ApiError(
-                code,
-                "ServiceUnavailable" if code == 503 else "InternalError",
-                f"injected fault: {self.injector.plan.name} ({kind})",
-            ))
+            return ApiResponse.from_error(
+                self.injector.injected_error(int(decision.value))
+            )
         elif kind in ("reset", "partial"):
             raise ConnectionResetError(f"injected fault: {kind}")
         elif kind == "hang":

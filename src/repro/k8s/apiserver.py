@@ -63,6 +63,16 @@ class ApiRequest:
     name: str | None = None
     body: dict[str, Any] | None = None
     source_ip: str = "127.0.0.1"
+    # Transport context, not constructor parameters: an adapter that
+    # received the request off a wire sets these (the HTTP proxy's
+    # ``WireRequest``); in-process callers leave the class defaults.
+    #: the URL path it arrived on (stale-read locator, event detail)
+    path: str | None = field(default=None, init=False, repr=False, compare=False)
+    #: the caller's ``X-Trace-Id`` for the enforcement trace to join
+    trace_id: str | None = field(default=None, init=False, repr=False, compare=False)
+    #: upstream budget (:class:`repro.resilience.Deadline`) stamped by
+    #: the proxy's guarded forward; socket upstreams clamp to it
+    deadline: Any = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_manifest(
@@ -92,6 +102,12 @@ class ApiResponse:
     code: int
     body: dict[str, Any] | list[dict[str, Any]] | None = None
     error: ApiError | None = None
+    #: ``(mode, age_seconds)`` when the enforcement proxy answered in
+    #: degraded mode (``"refused"`` / ``"stale-read"``) instead of the
+    #: upstream; transports render it (``X-KubeFence-Degraded``).
+    degraded: tuple[str, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def ok(self) -> bool:

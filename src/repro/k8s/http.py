@@ -88,6 +88,13 @@ def parse_rest_path(path: str, reg: ResourceRegistry) -> tuple[str, str | None, 
 _METHOD_VERBS = {"POST": "create", "PUT": "update", "PATCH": "patch", "DELETE": "delete"}
 
 
+def rest_verb(method: str, name: str | None) -> str:
+    """The API verb an HTTP *method* means on a path naming *name*."""
+    if method == "GET":
+        return "get" if name else "list"
+    return _METHOD_VERBS[method]
+
+
 class _QuietErrorsMixin:
     """Swallow connection-level failures instead of spraying
     tracebacks.
@@ -247,29 +254,33 @@ def new_http_server(
     return WorkerPoolHTTPServer(address, handler, workers=workers, queue_size=queue_size)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server_version = "MiniKubeApiServer/1.0"
-    #: HTTP/1.1 so pooled clients (notably the KubeFence proxy's
-    #: keep-alive upstream connections) can reuse the TCP socket; every
-    #: response path sends an explicit Content-Length.
+#: Largest request body either frontend reads: kube-apiserver's own
+#: request-body cap.  A constant, not an option -- longer requests are
+#: answered 413 before a single body byte is read.
+MAX_BODY_BYTES = 3 * 1024 * 1024
+
+#: Methods whose request must carry a body (and have it validated).
+_BODY_METHODS = frozenset({"POST", "PUT", "PATCH"})
+
+
+class JsonRequestHandler(BaseHTTPRequestHandler):
+    """What the API-server and proxy frontends share: request framing,
+    the JSON reply writer, ``/obs/*`` + HEAD dispatch and the access
+    counter.  A subclass defines ``handle_api()`` (serve one API
+    request; the method is ``self.command``); :meth:`HttpService._bind`
+    injects the rest.
+    """
+
+    #: HTTP/1.1 so clients (notably the KubeFence proxy's pooled
+    #: upstream connections) can reuse the TCP socket; every reply
+    #: carries an explicit Content-Length.
     protocol_version = "HTTP/1.1"
-    api: APIServer  # injected by serve()
-    #: Optional :class:`repro.obs.analytics.slo.SloEngine` served at
-    #: ``/obs/slo``; injected by :class:`HttpApiServer` when wired.
-    slo: Any = None
-    #: Optional :class:`repro.obs.refine.RefineController` served at
-    #: ``/obs/refine``; injected by :class:`HttpApiServer` when wired.
-    refine: Any = None
-    #: Optional :class:`repro.scan.CVEScanner` served at ``/obs/scan``;
-    #: injected by :class:`HttpApiServer` when wired.
-    scanner: Any = None
-    #: Optional :class:`repro.faults.FaultInjector` applied at the wire
-    #: level (after the body drain, before routing).  ``None`` in the
-    #: normal, fault-free topology.
-    faults: Any = None
-    #: Optional :class:`repro.obs.TimeSeriesRing` served at
-    #: ``/obs/timeseries``; injected by :class:`HttpApiServer`.
-    timeseries: Any = None
+    #: the :class:`HttpService` this handler serves for
+    service: "HttpService"
+    #: the component's :class:`~repro.obs.PhaseClock`
+    phases: Any
+    #: ``(method, code)`` -> ``http_requests_total``
+    count_http_request: Callable[[str, Any], None]
 
     # Silence the default stderr request logging; access logs are not
     # discarded, though -- log_request() routes them into the metrics
@@ -278,7 +289,147 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def log_request(self, code: Any = "-", size: Any = "-") -> None:
-        self.api.count_http_request(getattr(self, "command", "?") or "?", code)
+        self.count_http_request(getattr(self, "command", "?") or "?", code)
+
+    def write_reply(
+        self,
+        code: int,
+        body: bytes,
+        content_type: str = "application/json",
+        headers: tuple[tuple[str, str], ...] = (),
+        head: bool = False,
+    ) -> None:
+        """The one place either frontend puts a reply on the wire: status
+        line and headers leave in one send (``end_headers`` flushes them),
+        the body in a second; *head* sends the headers of the same reply
+        without the body."""
+        self.send_response(code)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in headers:
+            self.send_header(name, value)
+        self.end_headers()
+        if not head:
+            self.wfile.write(body)
+
+    def reply(self, code: int, payload: Any,
+              headers: tuple[tuple[str, str], ...] = ()) -> None:
+        """Encode *payload* as the JSON reply (serialization phase)."""
+        phases = self.phases
+        started = time.perf_counter_ns() if phases.enabled else 0
+        self.write_reply(code, json.dumps(payload).encode(), headers=headers)
+        if started:
+            phases.serialization(time.perf_counter_ns() - started)
+
+    def _read_body(self) -> bytes | None:
+        """The request body (``b""`` when there is none), or ``None``
+        after malformed framing was answered locally.
+
+        Fails closed: neither frontend decodes ``Transfer-Encoding``, so
+        a request using it -- or a write with no length -- has no body
+        this handler could validate, and whatever bytes follow would be
+        parsed as the next request on the keep-alive socket.
+        """
+        declared = self.headers.get("Content-Length")
+        length = 0
+        if self.headers.get("Transfer-Encoding") is not None:
+            error = ApiError(411, "LengthRequired",
+                             "Transfer-Encoding is not supported; send Content-Length")
+        elif declared is not None and not (declared.isascii() and declared.isdigit()):
+            error = ApiError.bad_request(
+                f"Content-Length {declared!r} is not a non-negative integer")
+        elif (length := int(declared or 0)) > MAX_BODY_BYTES:
+            error = ApiError(413, "RequestEntityTooLarge",
+                             f"request body exceeds {MAX_BODY_BYTES} bytes")
+        elif not length and self.command in _BODY_METHODS:
+            error = ApiError(411, "LengthRequired",
+                             f"{self.command} needs a body: send a positive Content-Length")
+        else:
+            return self.rfile.read(length) if length else b""
+        # The body was not consumed, so whatever follows on this socket
+        # is not a request boundary: answer and hang up.
+        self.reply(error.code, error.to_status(), (("Connection", "close"),))
+        return None
+
+    def read_json(self) -> tuple[bytes, dict | None] | None:
+        """``(raw body, the JSON object it encodes or None without a
+        body)``, or ``None`` after a malformed request was answered
+        locally.  The read is drained before any other reply: with
+        keep-alive, unread body bytes would corrupt the next request.
+        Drain and parse are the request's deserialization share."""
+        phases = self.phases
+        started = time.perf_counter_ns() if phases.enabled else 0
+        raw = self._read_body()
+        if not raw:
+            return None if raw is None else (raw, None)
+        try:
+            body = json.loads(raw)
+        except (ValueError, RecursionError):
+            body = None
+        if not isinstance(body, dict):
+            self.reply(400, ApiError.bad_request(
+                "request body is not valid JSON" if body is None
+                else "request body must be a JSON object"
+            ).to_status())
+            return None
+        if started:
+            phases.serialization(time.perf_counter_ns() - started)
+        return raw, body
+
+    def _serve_obs(self, head: bool = False) -> bool:
+        """Observability surfaces (/metrics, /healthz, /readyz,
+        /obs/*), served before API routing."""
+        service = self.service
+        served = obs_endpoint(
+            self.path,
+            slo=service.slo,
+            refine=service.refine,
+            scanner=service.scanner,
+            timeseries=service.timeseries,
+            profiler=PROFILER,
+            accept=self.headers.get("Accept", ""),
+            **service.obs_identity,
+        )
+        if served is None:
+            return False
+        status, content_type, body = served
+        self.write_reply(status, body, content_type, head=head)
+        return True
+
+    def _handle(self) -> None:
+        # Wall-clock denominator for the phase breakdown
+        # (kubefence_request_wall_ns_total): stamped here, at HTTP
+        # ingress, so every phase share recorded below is inside it.
+        phases = self.phases
+        if not phases.enabled:
+            self.handle_api()
+            return
+        wall_started = time.perf_counter_ns()
+        self.handle_api()
+        phases.wall(time.perf_counter_ns() - wall_started)
+
+    def do_GET(self) -> None:
+        if not self._serve_obs():
+            self._handle()
+
+    def do_HEAD(self) -> None:
+        # HEAD on the observability surfaces: full headers (correct
+        # Content-Length), no body.  API paths have no HEAD semantics.
+        if not self._serve_obs(head=True):
+            self.write_reply(
+                405, b"", head=True,
+                headers=(("Allow", "GET, POST, PUT, PATCH, DELETE"),),
+            )
+
+    do_POST = do_PUT = do_PATCH = do_DELETE = _handle
+
+
+class _Handler(JsonRequestHandler):
+    server_version = "MiniKubeApiServer/1.0"
+    # Injected by HttpApiServer: the server, and ``faults`` -- an
+    # optional :class:`repro.faults.FaultInjector` applied at the wire
+    # level (``None`` in the normal, fault-free topology).
+    api: APIServer
 
     def _user(self) -> User:
         username = self.headers.get("X-Remote-User", "kubernetes-admin")
@@ -287,76 +438,16 @@ class _Handler(BaseHTTPRequestHandler):
         )
         return User(username, groups + ("system:authenticated",))
 
-    def _respond(self, response: ApiResponse) -> None:
-        phases = self.api.phases
-        started = time.perf_counter_ns() if phases.enabled else 0
-        payload = json.dumps(response.body if response.body is not None else {}).encode()
-        self.send_response(response.code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-        if started:
-            phases.serialization(time.perf_counter_ns() - started)
-
-    def _serve_obs(self, head: bool = False) -> bool:
-        """Observability surfaces: /metrics, /healthz, /readyz,
-        /obs/traces (served before REST routing)."""
-        bus = getattr(self.api, "event_bus", None)
-        served = obs_endpoint(
-            self.path,
-            self.api.metrics,
-            component="mini-apiserver",
-            ready_checks={"store": lambda: self.api.store is not None},
-            event_bus=bus if (bus is not None and bus.enabled) else None,
-            slo=self.slo,
-            refine=self.refine,
-            scanner=self.scanner,
-            profiler=PROFILER,
-            timeseries=self.timeseries,
-            accept=self.headers.get("Accept", ""),
-        )
-        if served is None:
-            return False
-        status, content_type, body = served
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        if not head:
-            self.wfile.write(body)
-        return True
-
-    def _handle(self, method: str) -> None:
-        # Wall-clock denominator for the phase breakdown
-        # (kubefence_request_wall_ns_total): stamped here, at HTTP
-        # ingress, so the serialization shares recorded below are
-        # inside the total.
-        phases = self.api.phases
-        if not phases.enabled:
-            self._handle_timed(method)
+    def handle_api(self) -> None:
+        read = self.read_json()
+        if read is None:
             return
-        wall_started = time.perf_counter_ns()
-        self._handle_timed(method)
-        phases.wall(time.perf_counter_ns() - wall_started)
-
-    def _handle_timed(self, method: str) -> None:
-        # Drain the request body before any early reply: with HTTP/1.1
-        # keep-alive, unread body bytes would corrupt the next request
-        # on the same connection.  The drain is wire deserialization --
-        # it counts toward the serialization phase share.
-        phases = self.api.phases
-        attributed = phases.enabled
-        drain_started = time.perf_counter_ns() if attributed else 0
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
         # `mark` threads through the method: everything between the
         # stamped regions (fault checks, REST-path routing, ApiRequest
         # construction with identity extraction) is attributed to authn
         # so the coverage denominator holds >=90% on validated writes.
-        mark = time.perf_counter_ns() if attributed else 0
-        if attributed and raw:
-            phases.serialization(mark - drain_started)
+        phases = self.phases
+        mark = time.perf_counter_ns() if phases.enabled else 0
 
         # Wire-level chaos: the injector may 5xx, stall, truncate, or
         # RST this request.  It runs after the body drain (keep-alive
@@ -369,48 +460,21 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             kind, namespace, name = parse_rest_path(self.path, self.api.registry)
         except (ValueError, KeyError) as exc:
-            payload = json.dumps(
-                {"kind": "Status", "status": "Failure", "message": str(exc), "code": 404}
-            ).encode()
-            self.send_response(404)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            self.reply(404, {"kind": "Status", "status": "Failure",
+                             "message": str(exc), "code": 404})
             return
 
-        body: dict | None = None
-        if raw:
-            parse_started = time.perf_counter_ns() if attributed else 0
-            if attributed:
-                phases.authn(parse_started - mark)
-            try:
-                body = json.loads(raw)
-            except (ValueError, RecursionError):
-                self._respond(
-                    ApiResponse.from_error(
-                        ApiError.bad_request("request body is not valid JSON")
-                    )
-                )
-                return
-            if parse_started:
-                mark = time.perf_counter_ns()
-                phases.serialization(mark - parse_started)
-
-        if method == "GET":
-            verb = "get" if name else "list"
-        else:
-            verb = _METHOD_VERBS[method]
+        verb = rest_verb(self.command, name)
         request = ApiRequest(
             verb=verb,
             kind=kind,
             user=self._user(),
             namespace=namespace or "default",
             name=name,
-            body=body,
+            body=read[1],
             source_ip=self.client_address[0],
         )
-        if attributed:
+        if mark:
             now = time.perf_counter_ns()
             phases.authn(now - mark)
             mark = now
@@ -420,7 +484,7 @@ class _Handler(BaseHTTPRequestHandler):
         incoming = self.headers.get("X-Trace-Id") or None
         with trace("apiserver.request", trace_id=incoming):
             response = self.api.handle(request)
-        if attributed:
+        if mark:
             # Everything in this bracket outside handle()'s own span is
             # tracer bookkeeping (trace open, span record under the
             # buffer lock) -- telemetry, and the largest unstamped gap
@@ -429,60 +493,47 @@ class _Handler(BaseHTTPRequestHandler):
                 time.perf_counter_ns() - mark
                 - getattr(response, "handle_ns", 0)
             )
-        self._respond(response)
-        # Commit point 3: the response bytes for a successful write are
-        # on the socket (wfile is unbuffered) — the client will observe
-        # this write as acknowledged.  No-op outside the chaos child.
+        self.reply(response.code, response.body if response.body is not None else {})
+        # Commit point 3: write_reply() has put the response bytes for
+        # a successful write on the socket (wfile is unbuffered) -- the
+        # client will observe this write as acknowledged.  No-op outside
+        # the chaos child.
         if response.ok and verb in ("create", "update", "patch", "delete"):
             crashpoint("post-ack")
 
-    def do_GET(self) -> None:
-        if self._serve_obs():
-            return
-        self._handle("GET")
 
-    def do_HEAD(self) -> None:
-        # HEAD on the observability surfaces: full headers (correct
-        # Content-Length), no body.  REST paths answer 405 -- the mini
-        # API has no HEAD semantics.
-        if self._serve_obs(head=True):
-            return
-        self.send_response(405)
-        self.send_header("Allow", "GET, POST, PUT, PATCH, DELETE")
-        self.send_header("Content-Length", "0")
-        self.end_headers()
+class HttpService:
+    """Lifecycle of one HTTP frontend: a bound handler class on the
+    worker-pool server, a serve thread, the ``/obs/*`` sources, and
+    the refcounted process profiler.  A context manager."""
 
-    def do_POST(self) -> None:
-        self._handle("POST")
+    #: optional /obs/slo, /obs/refine and /obs/scan sources (read per
+    #: request, so wiring one onto a running service takes effect).
+    slo: Any = None
+    refine: Any = None
+    scanner: Any = None
 
-    def do_PUT(self) -> None:
-        self._handle("PUT")
-
-    def do_PATCH(self) -> None:
-        self._handle("PATCH")
-
-    def do_DELETE(self) -> None:
-        self._handle("DELETE")
-
-
-class HttpApiServer:
-    """Serve an :class:`APIServer` over a real TCP socket."""
-
-    def __init__(self, api: APIServer, host: str = "127.0.0.1", port: int = 0,
-                 fault_injector: Any | None = None, slo: Any | None = None,
-                 refine: Any | None = None, scanner: Any | None = None,
-                 workers: int | None = None, queue_size: int | None = None):
+    def _bind(self, address: tuple[str, int], handler: type, registry: Any,
+              component: str, ready_checks: dict[str, Callable[[], bool]],
+              event_bus: Any, workers: int | None = None,
+              queue_size: int | None = None, **bound: Any) -> None:
+        """Listen on *address* with *handler* subclassed to carry
+        *bound* (what its requests serve) as class attributes."""
+        #: what /metrics, /healthz, /readyz and /obs/events serve
+        self.obs_identity = {
+            "registry": registry,
+            "component": component,
+            "ready_checks": ready_checks,
+            "event_bus": (
+                event_bus if event_bus is not None and event_bus.enabled else None
+            ),
+        }
         #: in-process metrics ring (served at /obs/timeseries, the
         #: ``repro top`` data source); ticking starts with the server.
-        self.timeseries = TimeSeriesRing(api.metrics)
-        handler = type(
-            "BoundHandler", (_Handler,),
-            {"api": api, "faults": fault_injector, "slo": slo,
-             "refine": refine, "scanner": scanner,
-             "timeseries": self.timeseries},
-        )
+        self.timeseries = TimeSeriesRing(registry)
         self._httpd = new_http_server(
-            (host, port), handler, workers=workers, queue_size=queue_size
+            address, type("BoundHandler", (handler,), {**bound, "service": self}),
+            workers=workers, queue_size=queue_size,
         )
         self._thread: threading.Thread | None = None
 
@@ -495,7 +546,7 @@ class HttpApiServer:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    def start(self) -> "HttpApiServer":
+    def start(self) -> Any:
         # Refcounted: the profiler thread is shared process-wide and
         # stops with the last component that acquired it.
         PROFILER.acquire()
@@ -511,17 +562,34 @@ class HttpApiServer:
             self._thread.join(timeout=5)
             if self._thread.is_alive():
                 raise RuntimeError(
-                    "HttpApiServer serve thread failed to stop within 5s"
+                    f"{type(self).__name__} serve thread failed to stop within 5s"
                 )
             self._thread = None
             self.timeseries.stop()
             PROFILER.release()
 
-    def __enter__(self) -> "HttpApiServer":
+    def __enter__(self) -> Any:
         return self.start()
 
     def __exit__(self, *exc: Any) -> None:
         self.stop()
+
+
+class HttpApiServer(HttpService):
+    """Serve an :class:`APIServer` over a real TCP socket."""
+
+    def __init__(self, api: APIServer, host: str = "127.0.0.1", port: int = 0,
+                 fault_injector: Any | None = None, slo: Any | None = None,
+                 refine: Any | None = None, scanner: Any | None = None,
+                 workers: int | None = None, queue_size: int | None = None):
+        self.slo, self.refine, self.scanner = slo, refine, scanner
+        self._bind(
+            (host, port), _Handler, api.metrics, "mini-apiserver",
+            {"store": lambda: api.store is not None},
+            getattr(api, "event_bus", None), workers, queue_size,
+            api=api, phases=api.phases, faults=fault_injector,
+            count_http_request=api.count_http_request,
+        )
 
 
 class HttpClient:

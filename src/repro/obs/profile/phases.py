@@ -6,9 +6,9 @@ KubeFence proxy and the mini API server) stamp ``perf_counter_ns``
 deltas into one of six phases:
 
 ======================  ====================================================
-``authn``               identity extraction + authorization (proxy: the
-                        forwarded-identity headers; API server: routing +
-                        RBAC authorize)
+``authn``               identity extraction + authorization (proxy: path
+                        routing + the identity it re-asserts upstream;
+                        API server: routing + RBAC authorize)
 ``cache-probe``         decision-cache key + lookup (hits *and* the probe
                         cost of misses)
 ``validation``          the compiled policy-engine walk on a cache miss

@@ -175,6 +175,133 @@ class TestHttpRobustness:
         assert status == 201
 
 
+def _raw_exchange(base_url: str, request: bytes) -> tuple[int, dict, bytes]:
+    """Send *request* on a fresh socket and read until the server
+    closes it: ``(status, Status body, bytes after the first reply)``.
+    A server that keeps the connection open fails the recv timeout."""
+    import socket
+    from urllib.parse import urlsplit
+
+    netloc = urlsplit(base_url)
+    with socket.create_connection((netloc.hostname, netloc.port), timeout=3) as sock:
+        sock.sendall(request)
+        received = b""
+        while chunk := sock.recv(65536):
+            received += chunk
+    head, _, rest = received.partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    length = int(headers["Content-Length"])
+    assert headers["Connection"] == "close"
+    return int(status_line.split()[1]), json.loads(rest[:length]), rest[length:]
+
+
+_MALICIOUS = json.dumps({
+    "apiVersion": "v1", "kind": "Pod",
+    "metadata": {"name": "smuggled", "namespace": "default"},
+    "spec": {"hostNetwork": True,
+             "containers": [{"name": "c", "image": "busybox"}]},
+}).encode()
+
+_PODS = b"/api/v1/namespaces/default/pods"
+_IDENTITY = b"Host: x\r\nX-Remote-User: eve\r\nContent-Type: application/json\r\n"
+
+#: (case, raw request, expected status).  The chunked case carries a
+#: manifest the policy would deny (and the bare API server would
+#: admit): neither frontend decodes chunked, so neither may act on it.
+_MALFORMED_FRAMING = [
+    ("non-integer-length",
+     b"POST " + _PODS + b" HTTP/1.1\r\n" + _IDENTITY
+     + b"Content-Length: abc\r\n\r\n" + _MALICIOUS, 400),
+    ("negative-length",
+     b"POST " + _PODS + b" HTTP/1.1\r\n" + _IDENTITY
+     + b"Content-Length: -1\r\n\r\n" + _MALICIOUS, 400),
+    ("oversize-length",
+     b"POST " + _PODS + b" HTTP/1.1\r\n" + _IDENTITY
+     + b"Content-Length: 99999999999\r\n\r\n", 413),
+    ("chunked-no-length",
+     b"POST " + _PODS + b" HTTP/1.1\r\n" + _IDENTITY
+     + b"Transfer-Encoding: chunked\r\n\r\n"
+     + hex(len(_MALICIOUS))[2:].encode() + b"\r\n" + _MALICIOUS
+     + b"\r\n0\r\n\r\n", 411),
+    ("write-without-length",
+     b"PUT " + _PODS + b"/smuggled HTTP/1.1\r\n" + _IDENTITY + b"\r\n", 411),
+    ("write-with-empty-body",
+     b"POST " + _PODS + b" HTTP/1.1\r\n" + _IDENTITY
+     + b"Content-Length: 0\r\n\r\n", 411),
+]
+
+
+class TestMalformedFramingFailsClosed:
+    """Raw-socket regressions for the shared body reader: malformed
+    framing is answered locally with ``Connection: close`` -- before
+    this, a bad length dropped the connection with a traceback, a
+    negative one parked a pool worker, and a chunked write was
+    forwarded upstream *unvalidated* with its bytes then parsed as the
+    next request on the keep-alive socket."""
+
+    @pytest.fixture()
+    def http_stack(self, validator, leak_checker):
+        cluster = Cluster()
+        token = leak_checker.begin()
+        with HttpApiServer(cluster.api) as server:
+            with HttpKubeFenceProxy(server.base_url, validator) as proxy:
+                yield cluster, server, proxy
+        leak_checker.end(token)
+
+    @staticmethod
+    def _series_total(snapshot: dict, name: str) -> float:
+        return sum(v for series, v in snapshot.items() if series.startswith(name))
+
+    @pytest.mark.parametrize("frontend", ["apiserver", "proxy"])
+    @pytest.mark.parametrize(
+        "request_bytes,expected", [case[1:] for case in _MALFORMED_FRAMING],
+        ids=[case[0] for case in _MALFORMED_FRAMING],
+    )
+    def test_answered_locally_and_connection_closed(
+        self, http_stack, frontend, request_bytes, expected
+    ):
+        from repro.obs import obs_enabled
+
+        cluster, server, proxy = http_stack
+        target = server if frontend == "apiserver" else proxy
+        status, body, trailing = _raw_exchange(target.base_url, request_bytes)
+        assert status == expected
+        assert body["kind"] == "Status" and body["code"] == expected
+        # Exactly one reply: the unread bytes were not parsed as a
+        # second request on the same connection.
+        assert trailing == b""
+        assert not cluster.store.list("Pod")  # nothing committed
+        # Never reached the decision path or the upstream ...
+        assert proxy.stats.requests_total == 0
+        assert not proxy.denials
+        if obs_enabled():
+            upstream = cluster.api.metrics.snapshot()
+            assert self._series_total(
+                upstream, "kubefence_apiserver_requests_total") == 0
+            # ... but is on the access counter of whoever answered.
+            registry = (
+                cluster.api.metrics if frontend == "apiserver"
+                else proxy.stats.registry
+            )
+            method = request_bytes.split(b" ", 1)[0].decode()
+            assert registry.snapshot()[
+                f'http_requests_total{{method="{method}",code="{expected}"}}'
+            ] == 1
+
+    def test_frontends_keep_serving_after_malformed_framing(self, http_stack):
+        from repro.helm.chart import render_chart
+        from repro.k8s.http import HttpClient
+
+        cluster, server, proxy = http_stack
+        for _, request_bytes, _ in _MALFORMED_FRAMING:
+            _raw_exchange(proxy.base_url, request_bytes)
+        manifest = next(m for m in render_chart(get_chart("nginx"))
+                        if m["kind"] == "Service")
+        status, _ = HttpClient(proxy.base_url).apply(manifest)
+        assert status == 201
+
+
 class FlakyTransport:
     """Fails every other request with a 503 (control-plane hiccups)."""
 

@@ -92,7 +92,9 @@ class TestEndToEndScrape:
     def test_benign_deploy_succeeds_and_denial_blocked(self, deployed):
         assert all(s < 300 for s in deployed["statuses"]), deployed["statuses"]
         assert deployed["denial_status"] == 403
-        assert "KubeFence policy denied" in deployed["denial_body"]["message"]
+        body = deployed["denial_body"]
+        assert "KubeFence policy for workload 'nginx' denied" in body["message"]
+        assert any("hostNetwork" in v for v in body["details"]["violations"])
 
     def test_proxy_metrics_match_traffic(self, deployed):
         status, headers, body = _get(deployed["proxy"].base_url + "/metrics")
