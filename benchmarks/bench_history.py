@@ -133,13 +133,6 @@ def build_row(results_dir: Path) -> dict[str, Any]:
         for key in keys:
             if key in snapshot:
                 row[f"{prefix}_{key}"] = snapshot[key]
-    throughput = _load(results_dir / "BENCH_throughput.json")
-    if throughput is not None:
-        row["throughput_speedup"] = throughput.get("speedup")
-        row["throughput_p99_ratio"] = throughput.get("p99_ratio")
-        sharded = throughput.get("arms", {}).get("sharded", {})
-        row["throughput_sharded_rps"] = sharded.get("throughput_rps")
-        row["throughput_sharded_p99_us"] = sharded.get("p99_us")
     return row
 
 

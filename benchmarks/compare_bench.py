@@ -176,11 +176,11 @@ OBS_COST_LIMIT_US_PER_REQUEST = 75.0
 #: paths, and 1-in-N head sampling brought it low enough to gate.
 OBS_INPROCESS_LIMIT_PCT = 15.0
 
-#: Head-sampling posture of the measured arm: the sharded data plane's
-#: production configuration (the same 1-in-8 the ``repro loadtest``
-#: sharded arm runs).  Denials, degraded decisions, and errors are
-#: always published/triaged regardless of sampling; what is sampled is
-#: routine-allow event construction and request traces.
+#: Head-sampling posture of the measured arm: the data plane's
+#: production configuration (1-in-8).  Denials, degraded decisions,
+#: and errors are always published/triaged regardless of sampling;
+#: what is sampled is routine-allow event construction and request
+#: traces.
 OBS_TRACE_SAMPLE = 8
 OBS_EVENT_SAMPLE = 8
 
@@ -247,8 +247,7 @@ def measure_observability_overhead(repetitions: int = 30) -> dict[str, Any]:
     The telemetry arm runs the sharded data plane's production
     posture: 1-in-:data:`OBS_TRACE_SAMPLE` request traces and
     1-in-:data:`OBS_EVENT_SAMPLE` routine-event publication (denials
-    and errors always publish) -- the same configuration the ``repro
-    loadtest`` sharded arm measures.  Three numbers come out of the
+    and errors always publish).  Three numbers come out of the
     interleaved arms (best-of-minimum, the estimator least sensitive
     to scheduler noise):
 

@@ -23,9 +23,7 @@ from repro.operators import OPERATOR_NAMES, get_chart
 
 
 def test_table4_overhead(benchmark, emit_artifact):
-    """Table IV is measured with the compiled engine (deployment
-    default); one interpreted-mode row is kept for comparison."""
-    config = OverheadConfig(repetitions=10, network_delay_ms=4.0, engine="compiled")
+    config = OverheadConfig(repetitions=10, network_delay_ms=4.0)
 
     def measure_nginx():
         return measure_overhead(get_chart("nginx"), config)
@@ -42,19 +40,11 @@ def test_table4_overhead(benchmark, emit_artifact):
     for r in rows:
         assert 0 < r.increase_percent < 60, (r.operator, r.increase_percent)
 
-    # Comparison row: the pre-compilation interpreted walk on the
-    # slowest operator, to show what compilation buys end-to-end.
-    interpreted_config = OverheadConfig(
-        repetitions=10, network_delay_ms=4.0, engine="interpreted"
-    )
-    interpreted_row = measure_overhead(get_chart("sonarqube"), interpreted_config)
-    interpreted_row.operator = "sonarqube (interpreted)"
-
     mean_pct = statistics.fmean(r.increase_percent for r in rows)
     emit_artifact(
         "table4_overhead",
-        render_table4(rows + [interpreted_row])
-        + f"\nmean relative overhead (compiled rows): {mean_pct:.2f}% (paper: ~21%)",
+        render_table4(rows)
+        + f"\nmean relative overhead: {mean_pct:.2f}% (paper: ~21%)",
     )
 
 

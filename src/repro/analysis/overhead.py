@@ -73,8 +73,6 @@ class OverheadRow:
     #: contribute their lookup cost rather than being dropped, so this
     #: is the honest Table IV mean (see ProxyStats.validation_ns_mean).
     validation_ns_mean: float = 0.0
-    #: which validation engine the KubeFence arm used.
-    engine: str = "compiled"
     #: windowed metrics delta for the KubeFence arm (registry series ->
     #: increment over the measurement window), for the obs trajectory.
     metrics_window: dict[str, float] = field(default_factory=dict)
@@ -97,10 +95,6 @@ class OverheadConfig:
     network_delay_ms: float = 0.0
     #: cost of the proxy's localhost hop relative to the client link.
     localhost_hop_ratio: float = 0.1
-    #: validation engine for the KubeFence arm: "auto" (compiled unless
-    #: REPRO_NO_COMPILE is set), "compiled", or "interpreted" (the
-    #: pre-compilation baseline, kept for the comparison row).
-    engine: str = "auto"
     #: decision-cache capacity for the KubeFence arm (0 disables; the
     #: default measurement keeps it on, mirroring deployment).
     cache_size: int = 1024
@@ -153,9 +147,7 @@ def measure_overhead(
 
     def kubefence_client() -> OperatorClient:
         cluster = Cluster()
-        proxy = KubeFenceProxy(
-            cluster.api, validator, cache_size=config.cache_size, engine=config.engine
-        )
+        proxy = KubeFenceProxy(cluster.api, validator, cache_size=config.cache_size)
         proxies.append(proxy)
         transport: Any = proxy
         if config.network_delay_ms:
@@ -182,7 +174,6 @@ def measure_overhead(
         validation_ns_p50=totals.validation_ns_p50,
         validation_ns_p99=totals.validation_ns_p99,
         validation_ns_mean=totals.validation_ns_mean,
-        engine=config.engine,
         metrics_window=totals.snapshot(),
     )
 

@@ -100,7 +100,7 @@ def render_table4(rows: list[OverheadRow]) -> str:
 
     Besides the paper's RTT columns, each row reports where the
     KubeFence time goes: decision-cache hits/misses and the p50/p99 of
-    the per-request validation latency (compiled engine by default).
+    the per-request validation latency.
     """
     body = [
         [
@@ -113,7 +113,7 @@ def render_table4(rows: list[OverheadRow]) -> str:
         ]
         for r in rows
     ]
-    table = format_table(
+    return format_table(
         [
             "Operator",
             "RBAC RTT (ms)",
@@ -124,9 +124,6 @@ def render_table4(rows: list[OverheadRow]) -> str:
         ],
         body,
     )
-    engines = {r.engine for r in rows}
-    footer = f"\nvalidation engine: {', '.join(sorted(engines))}"
-    return table + footer
 
 
 def render_table2() -> str:

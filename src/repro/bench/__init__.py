@@ -1,9 +1,7 @@
 """Performance measurement substrate.
 
-:mod:`repro.bench.loadgen` is the closed-loop throughput harness
-(``repro loadtest``); :func:`environment_metadata` stamps every
-``BENCH_*.json`` with enough machine context to compare the perf
-trajectory across runs and hosts.
+:func:`environment_metadata` stamps every ``BENCH_*.json`` with enough
+machine context to compare the perf trajectory across runs and hosts.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ Commands mirror how a downstream user would operate KubeFence:
 - ``surface``   -- print the Fig. 9 usage heatmap and Table I.
 - ``coverage``  -- print the Fig. 5 e2e-coverage analysis.
 - ``overhead``  -- measure the Table IV RTT overhead.
-- ``loadtest``  -- saturated throughput, sharded vs legacy data plane.
 - ``obs``       -- dump a metrics/trace snapshot (docs/OBSERVABILITY.md).
 - ``crashtest`` -- SIGKILL a durable API-server child at WAL commit
   points and verify crash/restart recovery (docs/RESILIENCE.md).
@@ -531,83 +530,6 @@ def cmd_forensics(args: argparse.Namespace) -> int:
     return 1 if any(t.post_denial for t in timelines) else 0
 
 
-def cmd_loadtest(args: argparse.Namespace) -> int:
-    """Closed-loop saturated-throughput comparison of the sharded data
-    plane vs the legacy layout (``REPRO_NO_SHARDS=1``); see
-    docs/PERFORMANCE.md.
-
-    Exit 1 when ``--min-speedup`` is given and the measured sharded/
-    legacy throughput ratio falls below it (the CI gate)."""
-    import json as _json
-
-    from repro.bench.loadgen import LoadConfig, run_loadtest
-
-    if args.smoke:
-        config = LoadConfig.smoke()
-        if args.operator:
-            config = replace(config, operator=args.operator)
-    else:
-        config = LoadConfig(operator=args.operator or "nginx")
-    if args.workers:
-        config = replace(config, workers=args.workers)
-    if args.duration:
-        config = replace(config, duration_s=args.duration)
-    if args.warmup is not None:
-        config = replace(config, warmup_s=args.warmup)
-
-    print(
-        f"loadtest: operator={config.operator} workers={config.workers} "
-        f"warmup={config.warmup_s}s window={config.duration_s}s x2 arms ...",
-        file=sys.stderr,
-    )
-    profiler = None
-    if args.profile_out:
-        from repro.obs import PROFILER as profiler
-
-        profiler.acquire()
-        profiler.reset()
-    try:
-        result = run_loadtest(config)
-    finally:
-        if profiler is not None:
-            collapsed = profiler.collapsed()
-            samples = profiler.stats(top=0)["samples"]
-            profiler.release()
-            prof_out = Path(args.profile_out)
-            prof_out.parent.mkdir(parents=True, exist_ok=True)
-            prof_out.write_text(collapsed)
-            print(
-                f"wrote {prof_out} ({samples} samples, collapsed stacks)",
-                file=sys.stderr,
-            )
-    text = _json.dumps(result, indent=2, sort_keys=True)
-    if args.output:
-        out = Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text + "\n")
-        print(f"wrote {out}", file=sys.stderr)
-    if args.json or not args.output:
-        print(text)
-    else:
-        for arm in ("sharded", "legacy"):
-            numbers = result["arms"][arm]
-            print(
-                f"{arm:8s} {numbers['throughput_rps']:>10.1f} req/s  "
-                f"p50 {numbers['p50_us']:>8.2f}us  "
-                f"p99 {numbers['p99_us']:>8.2f}us"
-            )
-        print(f"speedup  {result['speedup']:.3f}x  "
-              f"(p99 ratio {result['p99_ratio']:.3f})")
-    if args.min_speedup and result["speedup"] < args.min_speedup:
-        print(
-            f"FAIL: speedup {result['speedup']:.3f}x is below the "
-            f"--min-speedup {args.min_speedup:.3f}x gate",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _series_sum(values: dict, name: str) -> float:
     """Sum every label set of ``name`` in one time-series point."""
     prefix = name + "{"
@@ -1015,40 +937,6 @@ def build_parser() -> argparse.ArgumentParser:
     overhead.add_argument("-r", "--repetitions", type=int, default=10)
     overhead.add_argument("--network-delay-ms", type=float, default=4.0)
 
-    loadtest = sub.add_parser(
-        "loadtest",
-        help="closed-loop throughput: sharded vs legacy data plane",
-    )
-    loadtest.add_argument(
-        "operator", nargs="?", help="operator workload (default: nginx)"
-    )
-    loadtest.add_argument(
-        "--workers", type=int, help="closed-loop worker threads per arm"
-    )
-    loadtest.add_argument(
-        "--duration", type=float, help="measurement window seconds per arm"
-    )
-    loadtest.add_argument("--warmup", type=float, help="warmup seconds per arm")
-    loadtest.add_argument(
-        "--smoke", action="store_true",
-        help="CI-sized run (fewer workers, sub-second windows)",
-    )
-    loadtest.add_argument(
-        "--min-speedup", type=float, default=0.0,
-        help="exit 1 if sharded/legacy throughput falls below this ratio",
-    )
-    loadtest.add_argument(
-        "-o", "--output",
-        help="write the full JSON result here "
-             "(e.g. benchmarks/results/BENCH_throughput.json)",
-    )
-    loadtest.add_argument("--json", action="store_true", help="print full JSON")
-    loadtest.add_argument(
-        "--profile-out",
-        help="sample the run with the wall-clock profiler and write "
-             "flamegraph-ready collapsed stacks here",
-    )
-
     top = sub.add_parser(
         "top",
         help="live terminal dashboard over a server's /obs/timeseries ring",
@@ -1275,7 +1163,6 @@ _COMMANDS = {
     "surface": cmd_surface,
     "coverage": cmd_coverage,
     "overhead": cmd_overhead,
-    "loadtest": cmd_loadtest,
     "top": cmd_top,
     "obs": cmd_obs,
     "chaos": cmd_chaos,

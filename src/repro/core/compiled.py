@@ -26,19 +26,10 @@ Parity contract: for every manifest, the compiled engine returns the
 same allow/deny outcome and the same violation paths/reasons *in the
 same order* as the interpreted walk (``tests/core/test_compiled.py``
 replays a fuzz corpus through both engines to pin this down).
-
-The module also houses the :class:`DecisionCache` used by the
-enforcement proxies: a bounded LRU keyed on a canonical hash of the
-write body, with revision-aware invalidation when the validator
-changes, so controllers resubmitting identical manifests skip
-validation entirely.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.core import placeholders
@@ -470,61 +461,3 @@ def compile_validator(validator: Validator) -> CompiledValidator:
     """Compile *validator* into its closure-tree form (one-time cost)."""
     return CompiledValidator(validator)
 
-
-# ---------------------------------------------------------------------------
-# Proxy-level decision cache
-# ---------------------------------------------------------------------------
-
-
-def canonical_body_key(body: Any) -> str | None:
-    """A canonical, order-insensitive hash of a write body.
-
-    Returns None for bodies that cannot be canonicalized (non-JSON
-    values, non-string keys); such requests are simply not cached.
-    """
-    try:
-        payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    except (TypeError, ValueError):
-        return None
-    return hashlib.blake2b(payload.encode("utf-8", "surrogatepass"), digest_size=16).hexdigest()
-
-
-class DecisionCache:
-    """Bounded LRU of body-hash -> :class:`ValidationResult`.
-
-    Revision-aware: callers pass the current policy revision to every
-    operation; a revision change drops all cached decisions (a new
-    validator must re-judge everything).
-    """
-
-    def __init__(self, maxsize: int = 1024):
-        if maxsize <= 0:
-            raise ValueError("DecisionCache maxsize must be positive")
-        self.maxsize = maxsize
-        self._entries: "OrderedDict[str, ValidationResult]" = OrderedDict()
-        self._revision: Any = None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    def _sync_revision(self, revision: Any) -> None:
-        if revision != self._revision:
-            self._entries.clear()
-            self._revision = revision
-
-    def get(self, key: str, revision: Any) -> ValidationResult | None:
-        self._sync_revision(revision)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self._entries.move_to_end(key)
-        return entry
-
-    def put(self, key: str, result: ValidationResult, revision: Any) -> None:
-        self._sync_revision(revision)
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)

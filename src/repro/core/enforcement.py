@@ -21,7 +21,6 @@ not chosen by the client.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -43,12 +42,6 @@ SERVER_MANAGED_METADATA = frozenset(
 #: allowed to exhaust the recursion stack (a billion-laughs-style DoS
 #: against the proxy itself, cf. CVE-2019-11253).
 MAX_VALIDATION_DEPTH = 100
-
-
-def compile_enabled() -> bool:
-    """Whether ``Validator.validate`` routes through the compiled
-    engine (default on; ``REPRO_NO_COMPILE=1`` is the escape hatch)."""
-    return not os.environ.get("REPRO_NO_COMPILE")
 
 
 @dataclass(frozen=True)
@@ -95,16 +88,12 @@ class Validator:
     def validate(self, manifest: dict[str, Any]) -> ValidationResult:
         """Validate one manifest; never raises.
 
-        Routes through the compiled engine (one-time compilation,
-        memoized pattern matching, lazy violation paths) unless the
-        ``REPRO_NO_COMPILE`` environment variable is set, in which case
-        the interpreted tree-walk below runs instead.  Both engines are
-        outcome- and violation-identical (see
-        ``tests/core/test_compiled.py``).
+        Runs the compiled engine (one-time compilation, memoized
+        pattern matching, lazy violation paths).  The interpreted
+        tree-walk below is its reference: both are outcome- and
+        violation-identical (see ``tests/core/test_compiled.py``).
         """
-        if compile_enabled():
-            return self.compiled().validate(manifest)
-        return self.validate_interpreted(manifest)
+        return self.compiled().validate(manifest)
 
     def compiled(self) -> Any:
         """The compiled form of this policy, built on first use.

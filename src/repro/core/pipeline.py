@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.enforcement import Validator, compile_enabled
+from repro.core.enforcement import Validator
 from repro.core.explorer import explore_variants
 from repro.core.renderer import render_all_variants
 from repro.core.schema_gen import ValuesSchema, generate_values_schema
@@ -62,7 +62,7 @@ class PolicyGenerator:
         )
         validator.meta["chartVersion"] = chart.version
         validator.meta["exploreBooleans"] = self.explore_booleans
-        if self.precompile and compile_enabled():
+        if self.precompile:
             validator.compiled()
         return PolicyGenerationReport(
             operator=chart.name,

@@ -16,8 +16,8 @@ reproduces the real network topology.
 
 Performance: validation runs on the compiled engine
 (:mod:`repro.core.compiled`) and sits behind a per-proxy
-:class:`~repro.core.compiled.DecisionCache` -- a bounded LRU keyed on a
-canonical hash of the write body, invalidated whenever the bound
+:class:`~repro.core.shards.ShardedDecisionCache` -- a bounded LRU keyed
+on a fingerprint of the write body, invalidated whenever the bound
 validator (or its :attr:`policy_revision`) changes.  Controllers that
 resubmit identical manifests (the reconcile-loop steady state) skip
 validation entirely.
@@ -53,14 +53,8 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 from urllib.parse import urlsplit
 
-from repro.core.compiled import DecisionCache, canonical_body_key
 from repro.core.enforcement import ValidationResult, Validator
-from repro.core.shards import (
-    ShardedDecisionCache,
-    fast_body_key,
-    new_decision_cache,
-    shards_enabled,
-)
+from repro.core.shards import ShardedDecisionCache, fast_body_key
 from repro.k8s.apiserver import APIServer, ApiRequest, ApiResponse, User
 from repro.k8s.errors import ApiError
 from repro.k8s.gvk import registry as default_registry
@@ -175,19 +169,15 @@ class ProxyStats:
     def __init__(self, registry: Any | None = None):
         reg = registry if registry is not None else new_registry()
         self.registry = reg
-        # Sharded data plane: hot instruments write through lock-free
-        # per-thread cells (folded at scrape time); REPRO_NO_SHARDS=1
-        # keeps every write under the registry lock as before.
-        self._sharded = shards_enabled()
-        requests = reg.counter(
+        # Hot instruments write through lock-free per-thread cells
+        # (:meth:`_Metric.local`), folded at scrape time.
+        self._requests = reg.counter(
             "kubefence_requests_total", "API requests intercepted by the proxy."
-        )
-        self._requests = self._bind(requests)
-        validated = reg.counter(
+        ).local()
+        self._validated = reg.counter(
             "kubefence_requests_validated_total",
             "Write requests whose body was checked against the policy.",
-        )
-        self._validated = self._bind(validated)
+        ).local()
         self._denied = reg.counter(
             "kubefence_requests_denied_total", "Requests blocked by the policy."
         )
@@ -197,12 +187,12 @@ class ProxyStats:
             labels=("operator", "kind", "reason"),
             max_series=256,
         )
-        self._cache_hits = self._bind(reg.counter(
+        self._cache_hits = reg.counter(
             "kubefence_cache_hits_total", "Decision-cache hits (validation skipped)."
-        ))
-        self._cache_misses = self._bind(reg.counter(
+        ).local()
+        self._cache_misses = reg.counter(
             "kubefence_cache_misses_total", "Decision-cache misses."
-        ))
+        ).local()
         self._conn_opened = reg.counter(
             "kubefence_connections_opened_total",
             "Upstream keep-alive connections opened (HTTP proxy).",
@@ -244,8 +234,8 @@ class ProxyStats:
             labels=("outcome",),
         )
         # Pre-bound hot series: labels() resolution off the request path.
-        self._latency_hit = self._bind(self._latency, outcome="hit")
-        self._latency_miss = self._bind(self._latency, outcome="miss")
+        self._latency_hit = self._latency.local(outcome="hit")
+        self._latency_miss = self._latency.local(outcome="miss")
         self._http = reg.counter(
             "http_requests_total",
             "HTTP requests served, by method and status code.",
@@ -257,7 +247,7 @@ class ProxyStats:
         # Per-request phase attribution (kubefence_phase_ns_total):
         # a bound-``inc`` per phase, the null clock when telemetry is
         # off (phases.enabled gates any extra clock reads).
-        self.phases = new_phase_clock(reg, sharded=self._sharded)
+        self.phases = new_phase_clock(reg)
         #: per-request validation latency samples (ns), bounded rings:
         #: full validations (cache misses) and cache-hit lookups.
         self.validation_ns_samples: list[int] = []
@@ -269,14 +259,6 @@ class ProxyStats:
         # the def-forms).
         self.count_request = self._requests.inc
         self.count_validated = self._validated.inc
-
-    def _bind(self, metric: Any, **labels: str) -> Any:
-        """A write handle for one series: lock-free per-thread cells on
-        the sharded data plane (:meth:`_Metric.local`), the classic
-        pre-bound locked series under ``REPRO_NO_SHARDS=1``."""
-        if self._sharded:
-            return metric.local(**labels)
-        return metric.labels(**labels) if labels else metric
 
     # -- mutation (proxy internals only) -----------------------------------
     # The unconditional once-per-request counters are rebound to the
@@ -294,12 +276,12 @@ class ProxyStats:
         self._denied.inc()
         # Precomputed {operator,kind,reason} handles: repeat denials
         # (the interesting, attack-shaped case) skip labels() parsing
-        # and -- on the sharded plane -- the registry lock entirely.
+        # and the registry lock entirely.
         key = (operator or "?", kind or "?", reason or "other")
         bound = self._denial_bound.get(key)
         if bound is None:
-            bound = self._bind(
-                self._denials, operator=key[0], kind=key[1], reason=key[2]
+            bound = self._denials.local(
+                operator=key[0], kind=key[1], reason=key[2]
             )
             self._denial_bound[key] = bound
         bound.inc()
@@ -327,7 +309,7 @@ class ProxyStats:
         key = (str(method or "?"), str(getattr(code, "value", code)))
         bound = self._http_bound.get(key)
         if bound is None:
-            bound = self._bind(self._http, method=key[0], code=key[1])
+            bound = self._http.local(method=key[0], code=key[1])
             self._http_bound[key] = bound
         bound.inc()
 
@@ -502,10 +484,7 @@ def upstream_failure_kind(failure: Any) -> str:
 class ValidationGate:
     """Validate-with-cache, shared by both proxy transports.
 
-    Owns the engine choice (``auto`` follows ``Validator.validate``'s
-    compiled-by-default behavior, ``compiled``/``interpreted`` force
-    one engine -- the benchmark harness uses the forced modes) and the
-    decision cache with its revision-aware invalidation.
+    Owns the decision cache and its revision-aware invalidation.
     """
 
     def __init__(
@@ -513,45 +492,19 @@ class ValidationGate:
         validator: Validator,
         stats: ProxyStats,
         cache_size: int = DEFAULT_DECISION_CACHE_SIZE,
-        engine: str = "auto",
     ):
-        if engine not in ("auto", "compiled", "interpreted"):
-            raise ValueError(f"unknown validation engine {engine!r}")
         self.stats = stats
-        self.engine = engine
-        # Sharded by default (lock-free read fast path, per-shard write
-        # locks); REPRO_NO_SHARDS=1 selects the legacy single cache.
-        self.cache: ShardedDecisionCache | DecisionCache | None = (
-            new_decision_cache(cache_size) if cache_size else None
-        )
-        # The sharded cache fingerprints bodies with marshal (C-speed,
-        # order-sensitive, collision-free); the legacy cache keeps its
-        # canonical-JSON key byte-for-byte.
-        self._body_key = (
-            fast_body_key
-            if isinstance(self.cache, ShardedDecisionCache)
-            else canonical_body_key
+        # Lock-free read fast path, per-shard write locks.
+        self.cache: ShardedDecisionCache | None = (
+            ShardedDecisionCache(cache_size) if cache_size else None
         )
         self.validator = validator
-        self._bind(validator)
-
-    def _bind(self, validator: Validator) -> None:
-        self.validator = validator
-        if self.engine == "compiled":
-            self._validate = validator.compiled().validate
-        elif self.engine == "interpreted":
-            self._validate = validator.validate_interpreted
-        else:
-            self._validate = validator.validate
 
     def install(self, validator: Validator) -> None:
         """Swap in a new policy; all cached decisions are dropped."""
-        self._bind(validator)
+        self.validator = validator
         if self.cache is not None:
             self.cache.clear()
-
-    def _revision(self) -> tuple[int, int]:
-        return (id(self.validator), self.validator.policy_revision)
 
     def check(self, body: dict[str, Any]) -> ValidationResult:
         """Validate *body*, consulting the decision cache first.
@@ -563,15 +516,21 @@ class ValidationGate:
         """
         stats = self.stats
         stats.count_validated()
+        # One binding per request: the policy that judges the body is
+        # the policy whose revision tags the cached result.  Reading
+        # either again after validate() would let an install() or an
+        # in-place tighten landing mid-request file the old policy's
+        # ALLOW under the new revision (fail-open); a stale tag only
+        # wastes an entry.
+        validator = self.validator
+        revision = (id(validator), validator.policy_revision)
         cache = self.cache
         key = None
         if cache is not None:
             lookup_started = time.perf_counter_ns()
             with span("cache.lookup"):
-                key = self._body_key(body)
-                cached = (
-                    cache.get(key, self._revision()) if key is not None else None
-                )
+                key = fast_body_key(body)
+                cached = cache.get(key, revision) if key is not None else None
             if cached is not None:
                 stats.count_cache(hit=True)
                 stats.record_validation_ns(
@@ -586,10 +545,10 @@ class ValidationGate:
             # probe share costs one subtraction, not a new clock read.
             stats.phases.cache_probe(started - lookup_started)
         with span("engine.match"):
-            result = self._validate(body)
+            result = validator.validate(body)
         stats.record_validation_ns(time.perf_counter_ns() - started)
         if key is not None and cache is not None:
-            cache.put(key, result, self._revision())
+            cache.put(key, result, revision)
         return result
 
 
@@ -645,7 +604,6 @@ class KubeFenceProxy:
         api: APIServer,
         validator: Validator,
         cache_size: int = DEFAULT_DECISION_CACHE_SIZE,
-        engine: str = "auto",
         resilience: ResilienceConfig | None = None,
         event_bus: Any | None = None,
     ):
@@ -662,7 +620,7 @@ class KubeFenceProxy:
         self._replay_safe = getattr(api, "replay_safe", None)
         self.denials: list[DenialRecord] = []
         self.stats = ProxyStats()
-        self.gate = ValidationGate(validator, self.stats, cache_size, engine)
+        self.gate = ValidationGate(validator, self.stats, cache_size)
         self.resilience = resilience
         #: security-analytics stream; NULL under REPRO_NO_OBS=1 (the
         #: ``enabled`` probe keeps event construction off the fast path).
@@ -1028,7 +986,6 @@ class HttpKubeFenceProxy(KubeFenceProxy, HttpService):
     def __init__(self, upstream_base_url: str, validator: Validator,
                  host: str = "127.0.0.1", port: int = 0,
                  cache_size: int = DEFAULT_DECISION_CACHE_SIZE,
-                 engine: str = "auto",
                  resilience: ResilienceConfig | None = None,
                  event_bus: Any | None = None,
                  slo: Any | None = None):
@@ -1036,9 +993,7 @@ class HttpKubeFenceProxy(KubeFenceProxy, HttpService):
         if resilience is None:
             resilience = DEFAULT_RESILIENCE
         upstream = HttpUpstream(self.upstream, resilience.request_timeout)
-        super().__init__(
-            upstream, validator, cache_size, engine, resilience, event_bus
-        )
+        super().__init__(upstream, validator, cache_size, resilience, event_bus)
         upstream.stats = self.stats
         #: SLO engine (served at /obs/slo): by default one per proxy,
         #: subscribed to the bus, exporting kubefence_slo_* gauges on

@@ -1,11 +1,9 @@
 """Sharded, low-contention decision cache for the enforcement hot path.
 
-The revision-aware :class:`~repro.core.compiled.DecisionCache` is a
-single ``OrderedDict`` -- correct under the GIL, but every worker
+A single ``OrderedDict`` LRU is correct under the GIL, but every worker
 thread funnels through the same structure, and every hit mutates the
-shared recency list.  Under sustained multi-identity load (the
-``repro loadtest`` harness) that one structure is the contention point
-of the whole data plane.
+shared recency list.  Under sustained multi-identity load that one
+structure is the contention point of the whole data plane.
 
 :class:`ShardedDecisionCache` splits the key space across N independent
 LRU shards:
@@ -28,64 +26,38 @@ LRU shards:
   when the shard lock is free (``acquire(blocking=False)``); under
   contention the hit simply returns -- recency decays toward FIFO
   instead of readers queuing behind writers.
-
-``REPRO_NO_SHARDS=1`` disables sharding: :func:`new_decision_cache`
-then returns the legacy single :class:`DecisionCache`, and the rest of
-the sharded data plane (thread-local metric accumulators, see
-:mod:`repro.obs.metrics`) reverts to its global-lock layout too.  The
-flag is the loadtest's legacy arm and the escape hatch if a coherence
-bug is ever suspected in production.
 """
 
 from __future__ import annotations
 
 import marshal
-import os
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any
-
-if TYPE_CHECKING:  # imported lazily at runtime: this module must stay
-    from repro.core.compiled import DecisionCache  # dependency-free so
-    # repro.k8s can probe shards_enabled() without a core<->k8s cycle.
+from typing import Any
 
 __all__ = [
     "DEFAULT_SHARD_COUNT",
-    "SHARDS_ENV",
     "ShardedDecisionCache",
     "fast_body_key",
-    "new_decision_cache",
-    "shards_enabled",
 ]
-
-#: Environment variable disabling the sharded data plane entirely.
-SHARDS_ENV = "REPRO_NO_SHARDS"
 
 #: Default shard count: enough to spread a handful of worker threads
 #: without fragmenting small caches (power of two for mask selection).
 DEFAULT_SHARD_COUNT = 8
 
 
-def shards_enabled() -> bool:
-    """Whether the sharded data plane is active (default on;
-    ``REPRO_NO_SHARDS=1`` selects the legacy global-lock layout)."""
-    return not os.environ.get(SHARDS_ENV)
-
-
 def fast_body_key(body: Any) -> bytes | None:
-    """The sharded cache's fingerprint: C-speed ``marshal`` bytes.
+    """The decision cache's fingerprint: C-speed ``marshal`` bytes.
 
-    The legacy cache keys on canonical JSON
-    (:func:`repro.core.compiled.canonical_body_key`), which costs a
-    full ``json.dumps(sort_keys=True)`` per request -- the single
-    largest item on the hot-path profile.  ``marshal.dumps`` is ~10x
-    cheaper and *collision-free*: it is a deterministic serializer, so
-    two bodies producing the same bytes decode to equal values.  It is
-    however **order-sensitive** -- equal dicts with different key
-    insertion order fingerprint differently.  That only costs a cache
-    miss (the body is re-validated, decisions stay identical), and
-    API-server clients resubmitting a manifest send it byte-identical
-    anyway.  Returns ``None`` for unmarshallable bodies (not cached).
+    ``marshal.dumps`` is ~10x cheaper than a canonical-JSON digest
+    (``json.dumps(sort_keys=True)`` plus a hash) and *collision-free*:
+    it is a deterministic serializer, so two bodies producing the same
+    bytes decode to equal values.  It is however **order-sensitive** -- equal dicts with
+    different key insertion order fingerprint differently.  That only
+    costs a cache miss (the body is re-validated, decisions stay
+    identical), and API-server clients resubmitting a manifest send it
+    byte-identical anyway.  Returns ``None`` for unmarshallable bodies
+    (not cached).
 
     Marshal **version 2** specifically: versions >= 3 add object
     *instancing* (shared/interned objects serialize as backreferences),
@@ -112,12 +84,11 @@ class _Shard:
 
 
 class ShardedDecisionCache:
-    """N independent revision-tagged LRU shards (drop-in for
-    :class:`~repro.core.compiled.DecisionCache`).
+    """N independent revision-tagged LRU shards.
 
     Capacity is divided across shards (each shard holds
-    ``ceil(maxsize / shards)`` entries), so worst-case memory matches
-    the single-cache configuration.  Revision freshness is carried per
+    ``ceil(maxsize / shards)`` entries), so worst-case memory is that
+    of one ``maxsize``-entry cache.  Revision freshness is carried per
     entry, which is what makes the read path lock-free: there is no
     shard-wide revision cell a reader could observe mid-update.
     """
@@ -175,20 +146,3 @@ class ShardedDecisionCache:
             entries.move_to_end(key)
             while len(entries) > shard.maxsize:
                 entries.popitem(last=False)
-
-
-def new_decision_cache(
-    maxsize: int, shards: int | None = None
-) -> "ShardedDecisionCache | DecisionCache":
-    """The proxy's decision cache: sharded by default, the legacy
-    single-lock :class:`DecisionCache` under ``REPRO_NO_SHARDS=1``.
-
-    The choice is made at construction time (proxy creation), not per
-    request -- flipping the env var only affects proxies built after
-    the flip, mirroring how ``REPRO_NO_OBS`` binds registries.
-    """
-    if not shards_enabled():
-        from repro.core.compiled import DecisionCache
-
-        return DecisionCache(maxsize)
-    return ShardedDecisionCache(maxsize, shards or DEFAULT_SHARD_COUNT)

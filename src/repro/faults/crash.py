@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.k8s.wal import CRASH_POINTS, CRASH_POINT_ENV, NO_WAL_ENV
+from repro.k8s.wal import CRASH_POINTS, CRASH_POINT_ENV
 
 __all__ = [
     "CrashInjector",
@@ -136,10 +136,6 @@ class SupervisedApiServer:
         if self.alive():
             raise RuntimeError("child already running")
         env = dict(os.environ)
-        # The child must be durable no matter what the parent's env
-        # says: an in-memory child would turn every cycle into a
-        # false "lost write".
-        env.pop(NO_WAL_ENV, None)
         env.pop(CRASH_POINT_ENV, None)
         if crash_spec:
             env[CRASH_POINT_ENV] = crash_spec

@@ -31,7 +31,6 @@ from repro.k8s.gvk import ResourceRegistry, ResourceType, registry as default_re
 from repro.k8s.objects import K8sObject
 from repro.k8s.schema import SCALAR_TYPES, FieldSpec, SchemaCatalog, catalog as default_catalog
 from repro.k8s.store import ObjectStore
-from repro.core.shards import shards_enabled
 from repro.obs import current_trace_id, new_phase_clock, new_registry, span
 from repro.obs.analytics.events import SecurityEvent, new_event_bus
 
@@ -180,17 +179,15 @@ class APIServer:
             labels=("verb", "code"),
             max_series=256,
         )
-        # Hot-path write handles: per-thread cells on the sharded data
-        # plane, the classic locked series under REPRO_NO_SHARDS=1
-        # (see repro.core.shards / _Metric.local).
-        self._sharded_telemetry = shards_enabled()
-        self._m_latency = self._m_bind(self.metrics.histogram(
+        # Hot-path write handles: lock-free per-thread cells, folded
+        # at scrape time (see _Metric.local).
+        self._m_latency = self.metrics.histogram(
             "kubefence_apiserver_latency_ns",
             "Full request-pipeline latency (routing through audit).",
-        ))
-        self._m_audit = self._m_bind(self.metrics.counter(
+        ).local()
+        self._m_audit = self.metrics.counter(
             "kubefence_audit_events_total", "Audit events recorded."
-        ))
+        ).local()
         #: (verb, code) -> bound counter, so the hot path skips
         #: labels() resolution on every request.
         self._m_requests_bound: dict[tuple[str, str], Any] = {}
@@ -204,9 +201,7 @@ class APIServer:
         # Per-request phase attribution (kubefence_phase_ns_total):
         # the null clock when telemetry is off, so handle() skips the
         # extra perf_counter_ns reads entirely.
-        self.phases = new_phase_clock(
-            self.metrics, sharded=self._sharded_telemetry
-        )
+        self.phases = new_phase_clock(self.metrics)
 
     def _announce_recovery(self) -> None:
         """Publish one ``kind="recovery"`` SecurityEvent when fronting a
@@ -237,18 +232,13 @@ class APIServer:
             )
         )
 
-    def _m_bind(self, metric: Any, **labels: str) -> Any:
-        if self._sharded_telemetry:
-            return metric.local(**labels)
-        return metric.labels(**labels) if labels else metric
-
     def count_http_request(self, method: str, code: Any) -> None:
         """Access-log replacement: ``http_requests_total{method,code}``
         (called from the HTTP front end's ``log_request``)."""
         key = (str(method or "?"), str(getattr(code, "value", code)))
         bound = self._m_http_bound.get(key)
         if bound is None:
-            bound = self._m_bind(self._m_http, method=key[0], code=key[1])
+            bound = self._m_http.local(method=key[0], code=key[1])
             self._m_http_bound[key] = bound
         bound.inc()
 
@@ -290,7 +280,7 @@ class APIServer:
         key = (request.verb or "?", str(response.code))
         bound = self._m_requests_bound.get(key)
         if bound is None:
-            bound = self._m_bind(self._m_requests, verb=key[0], code=key[1])
+            bound = self._m_requests.local(verb=key[0], code=key[1])
             self._m_requests_bound[key] = bound
         bound.inc()
         self._m_latency.observe(elapsed_ns)
@@ -532,9 +522,7 @@ class Cluster:
         fsync: str | None = None,
     ) -> None:
         # ``data_dir`` makes the cluster durable: the store recovers
-        # from (and write-ahead-logs into) that directory.  Under
-        # REPRO_NO_WAL=1, recover() degrades to a plain in-memory
-        # store, so the escape hatch covers this path too.
+        # from (and write-ahead-logs into) that directory.
         if data_dir is not None:
             self.store = ObjectStore.recover(data_dir, fsync=fsync)
         else:

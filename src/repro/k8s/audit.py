@@ -73,7 +73,7 @@ class AuditLog:
     """An append-only audit sink with query helpers.
 
     Thread-safe: the API server records from every
-    ``ThreadingHTTPServer`` worker while audit2rbac / anomaly
+    HTTP pool worker while audit2rbac / anomaly
     bootstrap / forensics iterate concurrently, so every reader works
     on a snapshot taken under the same lock the writer holds.
     """

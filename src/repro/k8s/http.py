@@ -23,12 +23,11 @@ import os
 import queue
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Any, Callable
 from urllib import request as urllib_request
 from urllib.error import HTTPError
 
-from repro.core.shards import shards_enabled
 from repro.k8s.apiserver import APIServer, ApiRequest, ApiResponse, User
 from repro.k8s.errors import ApiError
 from repro.k8s.gvk import ResourceRegistry, registry as default_registry
@@ -118,19 +117,6 @@ class _QuietErrorsMixin:
         super().handle_error(request, client_address)  # type: ignore[misc]
 
 
-class QuietThreadingHTTPServer(_QuietErrorsMixin, ThreadingHTTPServer):
-    """The legacy unbounded thread-per-connection frontend (one daemon
-    thread per accepted socket), kept as the ``REPRO_NO_SHARDS=1``
-    arm and for fault-injection topologies."""
-
-    #: Workers must not block interpreter shutdown.
-    daemon_threads = True
-    #: Explicit lifecycle knobs: rebind a just-closed port immediately
-    #: (start/stop cycles in tests) and a deterministic accept backlog.
-    allow_reuse_address = True
-    request_queue_size = LISTEN_BACKLOG
-
-
 #: Raw saturation reply, prebuilt: sent on the accept path without a
 #: handler (there is no worker to run one).  ``Connection: close`` so
 #: keep-alive clients do not retry on the dead socket.
@@ -149,7 +135,7 @@ _SATURATED_RESPONSE = (
 
 
 class WorkerPoolHTTPServer(_QuietErrorsMixin, HTTPServer):
-    """Bounded worker-pool frontend (the sharded data plane's default).
+    """Bounded worker-pool frontend.
 
     ``ThreadingHTTPServer`` spawns one thread per connection with no
     ceiling: under saturation the thread count, memory, and scheduler
@@ -166,6 +152,8 @@ class WorkerPoolHTTPServer(_QuietErrorsMixin, HTTPServer):
       (:attr:`saturation_rejects` counts these).
     """
 
+    #: Explicit lifecycle knobs: rebind a just-closed port immediately
+    #: (start/stop cycles in tests) and a deterministic accept backlog.
     allow_reuse_address = True
     request_queue_size = LISTEN_BACKLOG
 
@@ -237,21 +225,6 @@ class WorkerPoolHTTPServer(_QuietErrorsMixin, HTTPServer):
             self._queue.put(None)
         for thread in threads:
             thread.join(timeout=5)
-
-
-def new_http_server(
-    address: tuple[str, int],
-    handler: Any,
-    workers: int | None = None,
-    queue_size: int | None = None,
-) -> "WorkerPoolHTTPServer | QuietThreadingHTTPServer":
-    """The HTTP frontend for one server: the bounded worker pool on
-    the sharded data plane, thread-per-connection under
-    ``REPRO_NO_SHARDS=1`` (chosen at bind time, like the decision
-    cache)."""
-    if not shards_enabled():
-        return QuietThreadingHTTPServer(address, handler)
-    return WorkerPoolHTTPServer(address, handler, workers=workers, queue_size=queue_size)
 
 
 #: Largest request body either frontend reads: kube-apiserver's own
@@ -531,7 +504,7 @@ class HttpService:
         #: in-process metrics ring (served at /obs/timeseries, the
         #: ``repro top`` data source); ticking starts with the server.
         self.timeseries = TimeSeriesRing(registry)
-        self._httpd = new_http_server(
+        self._httpd = WorkerPoolHTTPServer(
             address, type("BoundHandler", (handler,), {**bound, "service": self}),
             workers=workers, queue_size=queue_size,
         )

@@ -15,9 +15,9 @@ Durability (crash-only operation) is layered in via
 appends every create/update/delete to a write-ahead log *before*
 mutating memory or acknowledging the caller, periodically compacts
 into an atomic snapshot, and on restart replays snapshot + WAL back to
-the exact last-acknowledged revision.  ``REPRO_NO_WAL=1`` keeps
-everything in memory (see docs/RESILIENCE.md, "Durability & crash
-recovery").
+the exact last-acknowledged revision.  A store built without a data
+directory stays purely in memory (see docs/RESILIENCE.md, "Durability
+& crash recovery").
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from repro.k8s.wal import (
     WriteAheadLog,
     crashpoint,
     load_snapshot,
-    wal_enabled,
     write_snapshot,
 )
 
@@ -143,11 +142,8 @@ class ObjectStore:
         Replays the compacted snapshot, then every complete WAL record
         — restoring the exact last-acknowledged revision.  A torn tail
         (an append interrupted mid-write, i.e. never acknowledged) is
-        truncated, never half-applied.  Under ``REPRO_NO_WAL=1`` this
-        returns a plain in-memory store.
+        truncated, never half-applied.
         """
-        if not wal_enabled():
-            return cls(compact_every=compact_every)
         data_dir = Path(path)
         started = time.perf_counter()
         snap_revision, snap_objects = load_snapshot(data_dir / SNAPSHOT_NAME)

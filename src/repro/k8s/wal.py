@@ -25,9 +25,6 @@ provides the on-disk substrate:
   using the same checked framing, so recovery replays snapshot + WAL
   suffix instead of the full history.
 
-``REPRO_NO_WAL=1`` is the escape hatch: :func:`wal_enabled` gates the
-durable store construction and everything stays in memory.
-
 The module also hosts the **crash-point hook** used by the
 process-level chaos harness (:mod:`repro.faults.crash`): a supervised
 child arms :func:`arm_crashpoint` from :data:`CRASH_POINT_ENV` and the
@@ -64,7 +61,6 @@ __all__ = [
     "encode_record",
     "load_snapshot",
     "scan_records",
-    "wal_enabled",
     "write_snapshot",
 ]
 
@@ -85,14 +81,6 @@ DEFAULT_FSYNC = "batch"
 
 #: Appends between fsyncs under the ``batch`` policy.
 BATCH_FSYNC_EVERY = 64
-
-#: ``REPRO_NO_WAL=1`` keeps every store purely in memory.
-NO_WAL_ENV = "REPRO_NO_WAL"
-
-
-def wal_enabled() -> bool:
-    """False when ``REPRO_NO_WAL=1`` (the in-memory escape hatch)."""
-    return os.environ.get(NO_WAL_ENV, "") != "1"
 
 
 class WalError(RuntimeError):

@@ -169,7 +169,7 @@ class EventBus:
       the CLI snapshot);
     - **push** -- :meth:`subscribe` registers a callable invoked on
       every publish.  Subscribers run on the *publishing* thread
-      (ThreadingHTTPServer workers included) and must therefore be
+      (HTTP pool workers included) and must therefore be
       thread-safe and fast; a raising subscriber is counted and
       detached after :data:`MAX_SUBSCRIBER_ERRORS` consecutive
       failures rather than poisoning the request path.

@@ -144,7 +144,7 @@ class ForensicsEngine:
     """Accumulate events; reconstruct sessions and attack timelines.
 
     Thread-safe on ingest (it subscribes to a live bus fed by
-    ThreadingHTTPServer workers); reconstruction works on a snapshot.
+    HTTP pool workers); reconstruction works on a snapshot.
     """
 
     def __init__(self) -> None:

@@ -13,7 +13,7 @@ with label sets, rendered in the Prometheus text exposition format
 Design points:
 
 - **No dependencies.**  Everything is stdlib; the registry is safe for
-  concurrent increments from the ThreadingHTTPServer worker threads.
+  concurrent increments from the HTTP pool's worker threads.
 - **Bounded cardinality.**  Each metric rejects more than
   :data:`MAX_LABEL_SETS` distinct label combinations with a clear
   :class:`CardinalityError` -- a mislabeled denial reason must fail
@@ -26,8 +26,8 @@ Design points:
   ``{series: value}`` dict and :func:`delta` diffs two snapshots, so
   benchmarks can measure a window instead of absolute counters.
 - **Escape hatch.**  ``REPRO_NO_OBS=1`` disables the layer: registries
-  become no-op nulls (mirroring PR 1's ``REPRO_NO_COMPILE``), which the
-  observability-overhead benchmark uses as its baseline arm.
+  become no-op nulls, which the observability-overhead benchmark uses
+  as its baseline arm.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ except AttributeError:  # pragma: no cover - non-CPython fallback
 
 def obs_enabled() -> bool:
     """Whether telemetry is recorded (default on; ``REPRO_NO_OBS=1``
-    is the escape hatch, mirroring ``REPRO_NO_COMPILE``)."""
+    is the escape hatch)."""
     if _ENV_DATA is not None:
         return not _ENV_DATA.get(_OBS_KEY)
     return not os.environ.get(OBS_ENV)

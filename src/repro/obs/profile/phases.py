@@ -26,12 +26,11 @@ scrapeable honesty check -- the acceptance bar is >=90% for a
 validated write.
 
 Cost model: each phase attribute *is* the bound write handle's ``inc``
-(per-thread lock-free cells on the sharded data plane, the classic
-locked series under ``REPRO_NO_SHARDS=1``), so a phase stamp is one
-attribute load plus one GIL-atomic float add.  Under ``REPRO_NO_OBS=1``
-:func:`new_phase_clock` returns the shared :data:`NULL_PHASE_CLOCK`:
-no metric, no cells, and ``enabled=False`` lets hot paths skip their
-``perf_counter_ns`` reads entirely.
+(per-thread lock-free cells, :meth:`_Metric.local`), so a phase stamp
+is one attribute load plus one GIL-atomic float add.  Under
+``REPRO_NO_OBS=1`` :func:`new_phase_clock` returns the shared
+:data:`NULL_PHASE_CLOCK`: no metric, no cells, and ``enabled=False``
+lets hot paths skip their ``perf_counter_ns`` reads entirely.
 """
 
 from __future__ import annotations
@@ -112,21 +111,19 @@ class PhaseClock:
         "telemetry", "serialization", "wall",
     )
 
-    def __init__(self, registry: Any, sharded: bool = True):
+    def __init__(self, registry: Any):
         self.enabled = True
         counter = registry.counter(PHASE_METRIC, _PHASE_HELP, labels=("phase",))
-        bind = counter.local if sharded else counter.labels
-        self.authn = bind(phase="authn").inc
-        self.cache_probe = bind(phase="cache-probe").inc
-        self.validation = bind(phase="validation").inc
-        self.upstream = bind(phase="upstream").inc
-        self.telemetry = bind(phase="telemetry").inc
-        self.serialization = bind(phase="serialization").inc
-        wall = registry.counter(WALL_METRIC, _WALL_HELP)
-        self.wall = (wall.local() if sharded else wall).inc
+        self.authn = counter.local(phase="authn").inc
+        self.cache_probe = counter.local(phase="cache-probe").inc
+        self.validation = counter.local(phase="validation").inc
+        self.upstream = counter.local(phase="upstream").inc
+        self.telemetry = counter.local(phase="telemetry").inc
+        self.serialization = counter.local(phase="serialization").inc
+        self.wall = registry.counter(WALL_METRIC, _WALL_HELP).local().inc
 
 
-def new_phase_clock(registry: Any, sharded: bool = True) -> Any:
+def new_phase_clock(registry: Any) -> Any:
     """A :class:`PhaseClock` over *registry*, or the shared
     :data:`NULL_PHASE_CLOCK` when telemetry is off (``REPRO_NO_OBS=1``
     or a null registry) -- the null path allocates nothing."""
@@ -134,7 +131,7 @@ def new_phase_clock(registry: Any, sharded: bool = True) -> Any:
         return NULL_PHASE_CLOCK
     if not isinstance(registry, MetricsRegistry):
         return NULL_PHASE_CLOCK
-    return PhaseClock(registry, sharded=sharded)
+    return PhaseClock(registry)
 
 
 def phase_totals(registry: Any) -> dict[str, float]:

@@ -10,8 +10,8 @@ and the HTTP topology forwards the id in an ``X-Trace-Id`` header so
 the proxy-side and server-side traces (and the resulting
 :class:`~repro.k8s.audit.AuditEvent`) correlate.
 
-``contextvars`` gives per-thread isolation for free: each
-``ThreadingHTTPServer`` worker sees its own active trace.
+``contextvars`` gives per-thread isolation for free: each HTTP pool
+worker sees its own active trace.
 
 Finished traces land in a bounded ring buffer
 (:data:`TRACES`) exportable as JSON -- the source for the

@@ -1,23 +1,15 @@
-"""Compiled validator engine: parity, caching, and invalidation.
+"""Compiled validator engine: parity and invalidation.
 
 The compiled engine must be observationally identical to the
 interpreted tree-walk -- same allow/deny outcome, same violation
 paths/reasons, same order -- on benign manifests, attack manifests,
-and a fuzz corpus.  The decision cache must be LRU-bounded and drop
-everything when the policy changes.
+and a fuzz corpus.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.compiled import (
-    CompiledValidator,
-    DecisionCache,
-    canonical_body_key,
-    compile_validator,
-)
-from repro.core.enforcement import ValidationResult, Validator, Violation
+from repro.core.compiled import CompiledValidator, compile_validator
+from repro.core.enforcement import ValidationResult, Validator
 from repro.fuzz import ManifestFuzzer
 from repro.helm.chart import render_chart
 from repro.k8s.schema import catalog
@@ -108,12 +100,6 @@ class TestCompiledEngineLifecycle:
         # Compiled once, reused thereafter.
         assert nginx_validator.compiled() is engine
 
-    def test_escape_hatch(self, nginx_validator, nginx_deployment, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_COMPILE", "1")
-        assert nginx_validator.validate(nginx_deployment).allowed
-        monkeypatch.delenv("REPRO_NO_COMPILE")
-        assert nginx_validator.validate(nginx_deployment).allowed
-
     def test_invalidate_compiled_rebuilds_and_bumps_revision(self, validators):
         validator = Validator.from_dict(validators["nginx"].to_dict())
         engine = validator.compiled()
@@ -137,43 +123,3 @@ class TestCompiledEngineLifecycle:
         engine = compile_validator(nginx_validator)
         assert engine.validate(nginx_deployment).allowed
         assert engine.operator == nginx_validator.operator
-
-
-class TestCanonicalKey:
-    def test_key_order_insensitive(self):
-        a = {"kind": "Pod", "metadata": {"name": "x", "labels": {"a": "1", "b": "2"}}}
-        b = {"metadata": {"labels": {"b": "2", "a": "1"}, "name": "x"}, "kind": "Pod"}
-        assert canonical_body_key(a) == canonical_body_key(b)
-
-    def test_value_sensitive(self):
-        assert canonical_body_key({"x": 1}) != canonical_body_key({"x": 2})
-        assert canonical_body_key({"x": 1}) != canonical_body_key({"x": "1"})
-
-    def test_uncacheable_body(self):
-        assert canonical_body_key({"x": object()}) is None
-
-
-class TestDecisionCache:
-    def test_lru_eviction(self):
-        cache = DecisionCache(maxsize=2)
-        allowed = ValidationResult(True)
-        cache.put("a", allowed, revision=1)
-        cache.put("b", allowed, revision=1)
-        assert cache.get("a", revision=1) is allowed  # refresh a
-        cache.put("c", allowed, revision=1)  # evicts b (LRU)
-        assert cache.get("b", revision=1) is None
-        assert cache.get("a", revision=1) is allowed
-        assert cache.get("c", revision=1) is allowed
-        assert len(cache) == 2
-
-    def test_revision_change_drops_everything(self):
-        cache = DecisionCache(maxsize=8)
-        denied = ValidationResult(False, [Violation("p", "r")])
-        cache.put("a", denied, revision=1)
-        assert cache.get("a", revision=1) is denied
-        assert cache.get("a", revision=2) is None
-        assert len(cache) == 0
-
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(ValueError):
-            DecisionCache(maxsize=0)

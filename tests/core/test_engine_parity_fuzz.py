@@ -9,7 +9,8 @@ allow/deny outcome, same violation paths/reasons, same order.
 The second half pins decision-cache *coherence*: a cached decision may
 never outlive the policy revision it was computed under, whether the
 policy is mutated in place (``invalidate_compiled``) or replaced
-wholesale (``ValidationGate.install``).
+wholesale (``ValidationGate.install``) -- including when either lands
+while a request is still inside ``ValidationGate.check``.
 """
 
 from __future__ import annotations
@@ -121,8 +122,8 @@ def test_fuzz_parity_is_seed_deterministic(nginx_validator):
 # ---------------------------------------------------------------------------
 
 
-def _gate(validator: Validator, engine: str = "auto") -> ValidationGate:
-    return ValidationGate(validator, ProxyStats(), cache_size=128, engine=engine)
+def _gate(validator: Validator) -> ValidationGate:
+    return ValidationGate(validator, ProxyStats(), cache_size=128)
 
 
 def test_cache_serves_hits_within_one_revision(nginx_validator, nginx_deployment):
@@ -191,19 +192,55 @@ def test_install_swaps_policy_and_drops_cache(validators, default_manifests):
     assert not gate.check(service).allowed
 
 
-@pytest.mark.parametrize("engine", ["compiled", "interpreted"])
-def test_cache_coherence_holds_for_both_forced_engines(
-    engine, nginx_validator, nginx_deployment
-):
-    validator = _clone(nginx_validator)
-    gate = _gate(validator, engine=engine)
-    assert gate.check(nginx_deployment).allowed
+class _FlipMidValidate(Validator):
+    """Runs ``flip`` once, after judging but before returning: the
+    window in which a concurrent ``install()`` or in-place tighten
+    lands while a request is still inside ``ValidationGate.check``."""
 
-    del validator.kinds["Deployment"]
-    validator.invalidate_compiled()
-    if engine == "compiled":
-        gate.install(validator)  # forced-compiled binds at install time
-    assert not gate.check(nginx_deployment).allowed
+    flip = None
+
+    def validate(self, manifest):
+        result = super().validate(manifest)
+        flip, self.flip = self.flip, None
+        if flip is not None:
+            flip()
+        return result
+
+
+@pytest.mark.parametrize("how", ["install", "in-place"])
+def test_policy_flip_mid_request_is_not_cached_fail_open(
+    how, validators, default_manifests
+):
+    """The in-flight request may keep the old policy's ALLOW, but that
+    ALLOW must not be filed under the new policy's revision: the next
+    request is judged by the strict policy and denied."""
+    nginx = validators["nginx"]
+    service = deep_copy(
+        next(m for m in default_manifests["nginx"] if m["kind"] == "Service")
+    )
+    validator = _FlipMidValidate(
+        operator=nginx.operator,
+        kinds=deep_copy(nginx.kinds),
+        locks=list(nginx.locks),
+        meta=deep_copy(nginx.meta),
+    )
+    gate = _gate(validator)
+
+    if how == "install":
+        stricter = _clone(nginx)
+        del stricter.kinds["Service"]
+        validator.flip = lambda: gate.install(stricter)
+    else:
+
+        def tighten():
+            del validator.kinds["Service"]
+            validator.invalidate_compiled()
+
+        validator.flip = tighten
+
+    assert gate.check(service).allowed  # judged before the flip landed
+    assert validator.flip is None
+    assert not gate.check(service).allowed
 
 
 def test_revision_churn_under_fuzz_traffic(nginx_validator):

@@ -163,25 +163,6 @@ class TestProxyDecisionCache:
         assert proxy.stats.validation_ns_p99 >= proxy.stats.validation_ns_p50
 
 
-class TestEngineSelection:
-    def test_unknown_engine_rejected(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            KubeFenceProxy(Cluster().api, generate_policy(get_chart("nginx")), engine="jit")
-
-    def test_forced_engines_agree(self):
-        chart = get_chart("nginx")
-        deployment = next(m for m in render_chart(chart) if m["kind"] == "Deployment")
-        bad = deep_copy(deployment)
-        set_path(bad, "spec.template.spec.hostPID", True)
-        for engine in ("auto", "compiled", "interpreted"):
-            proxy = KubeFenceProxy(Cluster().api, generate_policy(chart), engine=engine)
-            ok = proxy.submit(ApiRequest.from_manifest(deployment, User.admin(), "create"))
-            denied = proxy.submit(ApiRequest.from_manifest(bad, User.admin(), "update"))
-            assert ok.ok and denied.code == 403, engine
-
-
 class TestFailStaticDegradation:
     """In-process fail-static (previously silently ignored by
     KubeFenceProxy): during an outage, stale reads are served -- but

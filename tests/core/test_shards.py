@@ -11,15 +11,11 @@ import time
 
 import pytest
 
-from repro.core.compiled import DecisionCache, canonical_body_key
 from repro.core.proxy import ProxyStats, ValidationGate
 from repro.core.shards import (
     DEFAULT_SHARD_COUNT,
-    SHARDS_ENV,
     ShardedDecisionCache,
     fast_body_key,
-    new_decision_cache,
-    shards_enabled,
 )
 
 
@@ -120,57 +116,23 @@ class TestShardedDecisionCache:
 
 
 class TestFactory:
-    def test_default_is_sharded(self, monkeypatch):
-        monkeypatch.delenv(SHARDS_ENV, raising=False)
-        assert shards_enabled()
-        cache = new_decision_cache(128)
+    def test_default_is_sharded(self, nginx_validator):
+        cache = ValidationGate(nginx_validator, ProxyStats()).cache
         assert isinstance(cache, ShardedDecisionCache)
         assert cache.shard_count == DEFAULT_SHARD_COUNT
 
-    def test_env_selects_legacy(self, monkeypatch):
-        monkeypatch.setenv(SHARDS_ENV, "1")
-        assert not shards_enabled()
-        assert isinstance(new_decision_cache(128), DecisionCache)
-
-    def test_explicit_shard_count(self, monkeypatch):
-        monkeypatch.delenv(SHARDS_ENV, raising=False)
-        assert new_decision_cache(128, shards=2).shard_count == 2
+    def test_explicit_shard_count(self):
+        assert ShardedDecisionCache(128, shards=2).shard_count == 2
 
 
 class TestGateWiring:
-    def test_gate_uses_sharded_cache_and_fast_key(self, monkeypatch, nginx_validator):
-        monkeypatch.delenv(SHARDS_ENV, raising=False)
-        gate = ValidationGate(nginx_validator, ProxyStats())
-        assert isinstance(gate.cache, ShardedDecisionCache)
-        assert gate._body_key is fast_body_key
-
-    def test_gate_legacy_keeps_canonical_key(self, monkeypatch, nginx_validator):
-        monkeypatch.setenv(SHARDS_ENV, "1")
-        gate = ValidationGate(nginx_validator, ProxyStats())
-        assert isinstance(gate.cache, DecisionCache)
-        assert gate._body_key is canonical_body_key
-
-    def test_decisions_identical_across_modes(
-        self, monkeypatch, nginx_validator, nginx_deployment
+    def test_gate_uses_sharded_cache_and_fast_key(
+        self, nginx_validator, nginx_deployment
     ):
-        from repro.yamlutil import deep_copy, set_path
-
-        bad = deep_copy(nginx_deployment)
-        set_path(bad, "spec.template.spec.hostNetwork", True)
-
-        verdicts = {}
-        for mode, env in (("sharded", None), ("legacy", "1")):
-            if env is None:
-                monkeypatch.delenv(SHARDS_ENV, raising=False)
-            else:
-                monkeypatch.setenv(SHARDS_ENV, env)
-            gate = ValidationGate(nginx_validator, ProxyStats())
-            verdicts[mode] = (
-                gate.check(nginx_deployment).allowed,  # miss
-                gate.check(nginx_deployment).allowed,  # hit
-                gate.check(bad).allowed,
-            )
-        assert verdicts["sharded"] == verdicts["legacy"] == (True, True, False)
+        gate = ValidationGate(nginx_validator, ProxyStats())
+        gate.check(nginx_deployment)
+        revision = (id(nginx_validator), nginx_validator.policy_revision)
+        assert gate.cache.get(fast_body_key(nginx_deployment), revision).allowed
 
 
 class TestHammer:

@@ -337,27 +337,3 @@ class TestTimeseriesAndTop:
             ["top", "http://127.0.0.1:9", "--iterations", "1"]
         ) == 1
         assert "top:" in capsys.readouterr().err
-
-
-class TestLoadtestProfileOut:
-    """`repro loadtest --profile-out` samples the run and writes the
-    collapsed-stack artifact CI uploads (runs last in this module: it
-    resets the process-global sampler's counts)."""
-
-    def test_writes_flamegraph_ready_collapsed_stacks(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        from repro.cli import main
-
-        monkeypatch.setenv("REPRO_PROFILE_HZ", "300")
-        profile_path = tmp_path / "loadtest.collapsed"
-        result_path = tmp_path / "bench.json"
-        assert main([
-            "loadtest", "--smoke", "--workers", "2",
-            "--duration", "0.3", "--warmup", "0.1",
-            "-o", str(result_path), "--profile-out", str(profile_path),
-        ]) == 0
-        lines = profile_path.read_text().strip().splitlines()
-        assert lines, "empty collapsed-stack artifact"
-        assert all(re.fullmatch(r"\S+(;\S+)* \d+", l) for l in lines)
-        assert json.loads(result_path.read_text())["arms"]

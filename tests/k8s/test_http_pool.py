@@ -1,13 +1,11 @@
 """Bounded worker-pool frontend tests: pool sizing, saturation
-backpressure, the frontend factory, and the start/stop lifecycle leak
+backpressure, and the start/stop lifecycle leak
 regression (satellite: repeated cycles must leak neither threads nor
 file descriptors)."""
 
 import os
 import threading
 import urllib.request
-
-import pytest
 
 from repro.k8s.apiserver import APIServer
 from repro.k8s.http import (
@@ -18,9 +16,7 @@ from repro.k8s.http import (
     HttpApiServer,
     HttpClient,
     LISTEN_BACKLOG,
-    QuietThreadingHTTPServer,
     WorkerPoolHTTPServer,
-    new_http_server,
 )
 
 POD = {
@@ -39,53 +35,41 @@ def _fd_count() -> int | None:
 
 
 class TestFactory:
-    def test_default_is_worker_pool(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SHARDS", raising=False)
+    def test_default_is_worker_pool(self):
         server = HttpApiServer(APIServer())
         assert isinstance(server._httpd, WorkerPoolHTTPServer)
         server._httpd.server_close()
 
-    def test_legacy_env_selects_thread_per_connection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHARDS", "1")
-        server = HttpApiServer(APIServer())
-        assert isinstance(server._httpd, QuietThreadingHTTPServer)
-        server._httpd.server_close()
-
-    def test_both_frontends_declare_lifecycle_knobs(self):
-        for cls in (WorkerPoolHTTPServer, QuietThreadingHTTPServer):
-            assert cls.allow_reuse_address is True
-            assert cls.request_queue_size == LISTEN_BACKLOG
+    def test_frontend_declares_lifecycle_knobs(self):
+        assert WorkerPoolHTTPServer.allow_reuse_address is True
+        assert WorkerPoolHTTPServer.request_queue_size == LISTEN_BACKLOG
 
     def test_pool_sizing_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SHARDS", raising=False)
         monkeypatch.setenv(HTTP_WORKERS_ENV, "3")
         monkeypatch.setenv(HTTP_QUEUE_ENV, "5")
-        httpd = new_http_server(("127.0.0.1", 0), None)
+        httpd = WorkerPoolHTTPServer(("127.0.0.1", 0), None)
         assert httpd.workers == 3
         assert httpd._queue.maxsize == 5
         httpd.server_close()
 
     def test_pool_sizing_env_garbage_falls_back(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SHARDS", raising=False)
         monkeypatch.setenv(HTTP_WORKERS_ENV, "garbage")
         monkeypatch.setenv(HTTP_QUEUE_ENV, "-4")
-        httpd = new_http_server(("127.0.0.1", 0), None)
+        httpd = WorkerPoolHTTPServer(("127.0.0.1", 0), None)
         assert httpd.workers == DEFAULT_HTTP_WORKERS
         assert httpd._queue.maxsize == DEFAULT_HTTP_QUEUE
         httpd.server_close()
 
     def test_explicit_args_beat_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SHARDS", raising=False)
         monkeypatch.setenv(HTTP_WORKERS_ENV, "9")
-        httpd = new_http_server(("127.0.0.1", 0), None, workers=2, queue_size=3)
+        httpd = WorkerPoolHTTPServer(("127.0.0.1", 0), None, workers=2, queue_size=3)
         assert httpd.workers == 2
         assert httpd._queue.maxsize == 3
         httpd.server_close()
 
 
 class TestWorkerPoolServing:
-    def test_serves_rest_round_trip(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SHARDS", raising=False)
+    def test_serves_rest_round_trip(self):
         with HttpApiServer(APIServer(), workers=2, queue_size=4) as server:
             client = HttpClient(server.base_url)
             status, body = client.create(POD)
@@ -94,8 +78,7 @@ class TestWorkerPoolServing:
             assert status == 200
             assert body["metadata"]["name"] == "p"
 
-    def test_pool_spawns_exactly_workers_threads(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SHARDS", raising=False)
+    def test_pool_spawns_exactly_workers_threads(self):
         with HttpApiServer(APIServer(), workers=2, queue_size=4) as server:
             HttpClient(server.base_url).create(POD)  # forces pool start
             port = server.address[1]
@@ -105,8 +88,7 @@ class TestWorkerPoolServing:
             ]
             assert len(pool) == 2
 
-    def test_saturation_returns_503(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SHARDS", raising=False)
+    def test_saturation_returns_503(self):
         # One worker, zero-size queue is not possible (queue.Queue(0) is
         # unbounded), so: 1 worker + queue of 1, with the worker wedged
         # by a connection that never completes its request.
@@ -161,13 +143,7 @@ class TestWorkerPoolServing:
 class TestLifecycle:
     """Satellite: repeated start()/stop() cycles leak nothing."""
 
-    @pytest.mark.parametrize("legacy", [False, True])
-    def test_cycles_leak_no_threads_or_fds(self, monkeypatch, legacy):
-        if legacy:
-            monkeypatch.setenv("REPRO_NO_SHARDS", "1")
-        else:
-            monkeypatch.delenv("REPRO_NO_SHARDS", raising=False)
-
+    def test_cycles_leak_no_threads_or_fds(self):
         api = APIServer()
 
         def cycle():
@@ -185,8 +161,7 @@ class TestLifecycle:
         if before_fds is not None and after_fds is not None:
             assert after_fds <= before_fds
 
-    def test_stop_joins_pool_workers(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SHARDS", raising=False)
+    def test_stop_joins_pool_workers(self):
         server = HttpApiServer(APIServer(), workers=3, queue_size=4).start()
         port = server.address[1]
         urllib.request.urlopen(server.base_url + "/healthz", timeout=5).read()
@@ -198,8 +173,7 @@ class TestLifecycle:
             t.name.startswith(f"http-pool-{port}-") for t in threading.enumerate()
         )
 
-    def test_same_port_rebinds_immediately(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_SHARDS", raising=False)
+    def test_same_port_rebinds_immediately(self):
         # Bind-retry: another process can legitimately grab the port in
         # the stop->rebind window; that is a lost race, not a REUSEADDR
         # failure, so retry the whole cycle on a fresh ephemeral port.

@@ -25,7 +25,6 @@ from repro.k8s.wal import (
     encode_record,
     load_snapshot,
     scan_records,
-    wal_enabled,
     write_snapshot,
 )
 
@@ -213,10 +212,9 @@ class TestRecovery:
         assert {o.name for o in recovered.all_objects()} == {"a", "c"}
         recovered.close()
 
-    def test_no_wal_escape_hatch(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_WAL", "1")
-        assert not wal_enabled()
-        store = ObjectStore.recover(tmp_path)
+    def test_store_without_data_dir_stays_in_memory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = ObjectStore()
         assert not store.durable and store.wal is None
         store.create(make_pod("a"))
         store.compact()  # no-op, writes nothing

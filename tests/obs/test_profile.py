@@ -187,7 +187,7 @@ class TestSamplingProfiler:
 class TestPhaseClock:
     def test_stamps_land_in_registry(self):
         registry = MetricsRegistry()
-        clock = new_phase_clock(registry, sharded=False)
+        clock = new_phase_clock(registry)
         assert clock.enabled
         clock.validation(100)
         clock.cache_probe(40)
@@ -199,7 +199,7 @@ class TestPhaseClock:
 
     def test_sharded_cells_fold_into_snapshot(self):
         registry = MetricsRegistry()
-        clock = new_phase_clock(registry, sharded=True)
+        clock = new_phase_clock(registry)
         clock.upstream(77)
         clock.wall(80)
         assert phase_totals(registry)["upstream"] == 77
