@@ -1,10 +1,11 @@
 """Append one timestamped row of headline benchmark figures to
 ``benchmarks/results/BENCH_history.jsonl``.
 
-Each ``BENCH_*.json`` the perf gates write is a full point-in-time
-snapshot; this script distills the run into a single JSON line so CI
-artifacts accumulate a machine-readable trend series (one row per CI
-run) instead of a pile of unrelated snapshots.  Trend-watching the
+``BENCH_gates.json`` (the perf gates) and ``BENCH_campaign.json`` (the
+campaign matrix) are full point-in-time snapshots; this script distills
+the run into a single JSON line so CI artifacts accumulate a
+machine-readable trend series (one row per CI run) instead of a pile
+of unrelated snapshots.  Trend-watching the
 series catches slow drift that the per-run gates -- which only compare
 against a fixed limit -- cannot: a metric creeping from 1% to 4.9%
 passes every gate while quietly eating the budget.
@@ -33,55 +34,20 @@ BENCH_DIR = Path(__file__).resolve().parent
 RESULTS_DIR = BENCH_DIR / "results"
 HISTORY_PATH = RESULTS_DIR / "BENCH_history.jsonl"
 
-#: snapshot file -> (column prefix, keys to lift into the row)
-_EXTRACT: dict[str, tuple[str, tuple[str, ...]]] = {
-    "BENCH_validation.json": (
-        "validation",
-        ("speedup", "compiled_ops_per_sec", "interpreted_ops_per_sec"),
-    ),
-    "BENCH_obs_overhead.json": (
-        "obs",
-        ("overhead_percent", "telemetry_us_per_request"),
-    ),
-    "BENCH_analytics_overhead.json": (
-        "analytics",
-        ("overhead_percent", "pipeline_us_per_request"),
-    ),
-    "BENCH_refine_overhead.json": (
-        "refine",
+#: snapshot file -> (column prefix, keys to lift into the row).
+#: ``BENCH_gates.json`` holds one result per gate and has no prefix of
+#: its own: its columns are ``<gate>_<key>``.
+_EXTRACT: dict[str, tuple[str | None, tuple[str, ...]]] = {
+    "BENCH_gates.json": (
+        None,
         (
-            "overhead_percent",
-            "profile_overhead_percent",
-            "canary_overhead_percent",
-            "refine_us_per_request",
-            "shadow_fraction",
-            "shadow_evaluations_per_deploy",
-            "candidate_actions",
-        ),
-    ),
-    "BENCH_scan_overhead.json": (
-        "scan",
-        (
+            "speedup",
+            "compiled_ops_per_sec",
+            "interpreted_ops_per_sec",
             "overhead_percent",
             "inprocess_overhead_percent",
-            "scan_ticks_during_measurement",
-        ),
-    ),
-    "BENCH_wal_overhead.json": (
-        "wal",
-        (
-            "overhead_percent",
-            "inprocess_overhead_percent",
-            "wal_appends",
-        ),
-    ),
-    "BENCH_profile_overhead.json": (
-        "profiler",
-        (
-            "overhead_percent",
-            "inprocess_overhead_percent",
-            "profile_hz",
-            "profile_samples_during_measurement",
+            "us_per_request",
+            "activity",
         ),
     ),
     "BENCH_campaign.json": (
@@ -130,9 +96,11 @@ def build_row(results_dir: Path) -> dict[str, Any]:
         snapshot = _load(results_dir / filename)
         if snapshot is None:
             continue
-        for key in keys:
-            if key in snapshot:
-                row[f"{prefix}_{key}"] = snapshot[key]
+        groups = snapshot if prefix is None else {prefix: snapshot}
+        for group, result in groups.items():
+            for key in keys:
+                if key in result:
+                    row[f"{group}_{key}"] = result[key]
     return row
 
 

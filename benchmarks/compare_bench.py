@@ -1,65 +1,85 @@
 #!/usr/bin/env python
-"""Perf regression gates: compiled-engine throughput + telemetry overhead.
+"""Perf regression gates: one table of feature-on vs plain-stack gates.
 
-Gate 1 -- interpreted-vs-compiled validation throughput.
-Gate 2 -- observability overhead: the telemetry layer (PR 2's metrics
-registry + request tracing) must add < 5% to the full-deploy RTT
-versus ``REPRO_NO_OBS=1`` on the deployment-modeled link, and < 75 us
-per request in absolute terms; the measurement is recorded into
-``benchmarks/results/BENCH_obs_overhead.json``.
+``benchmarks/e2e`` judges a PR end to end (real sockets, per-layer
+budget).  This script guards what that harness does not switch on: the
+in-process cost of an *optional* feature against the plain stack.
 
-Measures ops/sec of ``Validator.validate_interpreted`` and of the
-compiled engine on the Table IV reference manifest (the SonarQube
-Deployment -- the same body ``test_single_request_validation_cost``
-benchmarks), writes ``benchmarks/results/BENCH_validation.json``, and
-compares against the committed baseline
-(``benchmarks/baseline_validation.json``).
+- ``validation`` -- its own shape: the compiled engine's speedup over
+  ``Validator.validate_interpreted`` on the Table IV reference manifest
+  (the SonarQube Deployment) must hold a 3x floor and stay within
+  ``tolerance`` of the committed baseline
+  (``benchmarks/baseline_validation.json``).  The ratio is
+  dimensionless, so the baseline transfers across machines; a baseline
+  with ``"strict_absolute": true`` also gates absolute compiled ops/s.
+- every row of :data:`GATES` -- a paired-arm overhead gate run by
+  :func:`measure`: one warm nginx stack, Day-2 reconcile passes timed
+  with the feature on and off in alternating order, the minimum per
+  arm, and the delta composed over a modeled 1 ms/request link.
 
-The regression gate is on the interpreted->compiled **speedup ratio**
-(dimensionless, so the committed baseline transfers across machines):
-the check fails when the measured compiled speedup falls below
-``(1 - tolerance)`` of the baseline speedup, or below the hard floor of
-3x that the compiled engine is required to deliver.  A baseline that
-sets ``"strict_absolute": true`` additionally gates on absolute
-compiled ops/sec (useful on pinned CI hardware).
+Results land in ``benchmarks/results/BENCH_gates.json`` (one entry per
+gate).  Usage::
 
-Usage::
-
-    PYTHONPATH=src python benchmarks/compare_bench.py
+    PYTHONPATH=src python benchmarks/compare_bench.py            # all gates
+    PYTHONPATH=src python benchmarks/compare_bench.py scan profile
     PYTHONPATH=src python benchmarks/compare_bench.py --update-baseline
 
-The same measurement runs under pytest via the ``bench_compare`` marker
-(``pytest benchmarks/test_bench_validation_compiled.py -m bench_compare``).
+The same measurements run under pytest via the ``bench_compare``
+(validation) and ``bench_gate`` (overhead table) markers.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
-import os
+import math
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 BENCH_DIR = Path(__file__).resolve().parent
-RESULTS_PATH = BENCH_DIR / "results" / "BENCH_validation.json"
+RESULTS_PATH = BENCH_DIR / "results" / "BENCH_gates.json"
 BASELINE_PATH = BENCH_DIR / "baseline_validation.json"
-OBS_RESULTS_PATH = BENCH_DIR / "results" / "BENCH_obs_overhead.json"
-ANALYTICS_RESULTS_PATH = BENCH_DIR / "results" / "BENCH_analytics_overhead.json"
-REFINE_RESULTS_PATH = BENCH_DIR / "results" / "BENCH_refine_overhead.json"
-SCAN_RESULTS_PATH = BENCH_DIR / "results" / "BENCH_scan_overhead.json"
-WAL_RESULTS_PATH = BENCH_DIR / "results" / "BENCH_wal_overhead.json"
-PROFILE_RESULTS_PATH = BENCH_DIR / "results" / "BENCH_profile_overhead.json"
 
 #: Hard floor required of the compiled engine (acceptance criterion).
 SPEEDUP_FLOOR = 3.0
 #: Allowed relative regression versus the committed baseline.
 DEFAULT_TOLERANCE = 0.20
-#: Ceiling on what the observability layer may add to full-deploy RTT
-#: versus the REPRO_NO_OBS=1 baseline arm.
-OBS_OVERHEAD_LIMIT_PCT = 5.0
+
+#: Simulated client <-> control-plane link (per request, both arms) --
+#: the same modeling device :mod:`repro.analysis.overhead` uses for the
+#: paper's two-VM testbed.  1 ms is the *low* end of a LAN API-server
+#: round trip, which biases the relative overhead upward (a
+#: conservative gate).  The link term is added to the denominator
+#: rather than slept: ``time.sleep`` granularity jitter is an order of
+#: magnitude above the deltas being gated.
+NETWORK_DELAY_MS = 1.0
+
+#: Reconcile passes per timed sample: a single pass is ~0.5 ms, small
+#: enough for scheduler blips to swamp a ~50 us feature delta.
+MIN_BATCH = 8
+
+#: Production shadow-sampling posture: 1 in 8 write requests is
+#: re-evaluated against the candidate policy.
+REFINE_SHADOW_FRACTION = 0.125
+
+#: Scanner tick interval of the measured arm.  Far more aggressive than
+#: the production default (30 s), so the measurement can't dodge the
+#: store-lock contention by landing between ticks.
+SCAN_BENCH_INTERVAL_S = 0.001
+
+#: Sampling rate of the measured arm, ~4x the production default
+#: (67 Hz): if the gate holds at 250 Hz it holds with margin at the
+#: rate components actually run.
+PROFILE_BENCH_HZ = 250.0
+
+
+# ---------------------------------------------------------------------------
+# validation: compiled-vs-interpreted speedup
+# ---------------------------------------------------------------------------
 
 
 def _ops_per_sec(fn: Any, arg: Any, min_seconds: float = 0.4) -> float:
@@ -150,1345 +170,403 @@ def check_regression(
     )
 
 
-# ---------------------------------------------------------------------------
-# Observability overhead gate (PR 2): the telemetry layer (metrics
-# registry + request tracing) must add < OBS_OVERHEAD_LIMIT_PCT to the
-# full-deploy round trip versus the REPRO_NO_OBS=1 escape hatch.
-# ---------------------------------------------------------------------------
-
-
-#: Simulated client <-> control-plane link (per request, both arms) for
-#: the gated RTT comparison -- the same modeling device
-#: :mod:`repro.analysis.overhead` uses for the paper's two-VM testbed.
-#: 1 ms is the *low* end of a LAN API-server round trip, which biases
-#: the relative overhead upward (a conservative gate).
-OBS_NETWORK_DELAY_MS = 1.0
-
-#: Absolute ceiling on the telemetry layer's per-request cost (the
-#: noise-free microbenchmark gate; the in-process delta is ~15-50 us
-#: on the reference container).
-OBS_COST_LIMIT_US_PER_REQUEST = 75.0
-
-#: Ceiling on the telemetry layer's *in-process* overhead (no network
-#: term in the denominator -- the harshest possible framing).  Before
-#: the sharded data plane's telemetry teardown this ratio sat at
-#: ~34-42%; thread-local metric cells, no-op-singleton trace/span fast
-#: paths, and 1-in-N head sampling brought it low enough to gate.
-OBS_INPROCESS_LIMIT_PCT = 15.0
-
-#: Head-sampling posture of the measured arm: the data plane's
-#: production configuration (1-in-8).  Denials, degraded decisions,
-#: and errors are always published/triaged regardless of sampling;
-#: what is sampled is routine-allow event construction and request
-#: traces.
-OBS_TRACE_SAMPLE = 8
-OBS_EVENT_SAMPLE = 8
-
-
-def _timed_deploy(
-    validator: Any, manifests: list[dict], name: str, delay_ms: float = 0.0
-) -> float:
-    """One full deploy through a fresh in-process cluster+proxy, in
-    seconds.  ``delay_ms`` adds the simulated per-request network link
-    (identical in both arms)."""
-    from repro.analysis.overhead import DelayedTransport
-    from repro.core.proxy import KubeFenceProxy
-    from repro.k8s.apiserver import Cluster
-    from repro.operators.client import OperatorClient
-
-    cluster = Cluster()
-    transport: Any = KubeFenceProxy(cluster.api, validator)
-    if delay_ms:
-        transport = DelayedTransport(transport, delay_ms)
-    client = OperatorClient(transport)
-    started = time.perf_counter()
-    result = client.apply_manifests(name, manifests)
-    elapsed = time.perf_counter() - started
-    if not result.all_ok:
-        raise RuntimeError("benign deployment blocked during obs-overhead run")
-    return elapsed
-
-
-def _sustained_reconcile_cost(
-    validator: Any, manifests: list[dict], name: str, reconciles: int = 16
-) -> float:
-    """Steady-state per-reconcile seconds through one warm pipeline.
-
-    Builds the cluster + proxy once, installs the release, then times
-    ``reconciles`` Day-2 reconcile passes (get + re-apply per
-    manifest, all allowed -- the sustained workload an operator
-    control loop actually generates).  Construction, decision-cache
-    misses, lazy metric-cell binds, and first-window event publishes
-    all land in the untimed warmup, so the number isolates the
-    *per-request* telemetry cost rather than instance setup amortized
-    over a 3-request install."""
-    from repro.core.proxy import KubeFenceProxy
-    from repro.k8s.apiserver import Cluster
-    from repro.operators.client import OperatorClient
-
-    cluster = Cluster()
-    client = OperatorClient(KubeFenceProxy(cluster.api, validator))
-    result = client.apply_manifests(name, manifests)
-    if not result.all_ok:
-        raise RuntimeError("benign deployment blocked during obs-overhead run")
-    client.reconcile(result)  # warm: caches, thread cells, sample windows
-    started = time.perf_counter()
-    for _ in range(reconciles):
-        responses = client.reconcile(result)
-    elapsed = (time.perf_counter() - started) / reconciles
-    if not all(r.ok for r in responses):
-        raise RuntimeError("reconcile failed during obs-overhead run")
-    return elapsed
-
-
-def measure_observability_overhead(repetitions: int = 30) -> dict[str, Any]:
-    """Full-deploy RTT with the telemetry layer on vs. ``REPRO_NO_OBS=1``.
-
-    The telemetry arm runs the sharded data plane's production
-    posture: 1-in-:data:`OBS_TRACE_SAMPLE` request traces and
-    1-in-:data:`OBS_EVENT_SAMPLE` routine-event publication (denials
-    and errors always publish).  Three numbers come out of the
-    interleaved arms (best-of-minimum, the estimator least sensitive
-    to scheduler noise):
-
-    - ``overhead_percent`` (**gated**, < :data:`OBS_OVERHEAD_LIMIT_PCT`):
-      relative RTT increase with a simulated client <-> control-plane
-      link of :data:`OBS_NETWORK_DELAY_MS` per request applied to both
-      arms -- the deployment-modeled denominator
-      (:mod:`repro.analysis.overhead` uses the same device for Table
-      IV; the paper's own overhead percentages are relative to
-      network-inclusive RTTs).
-    - ``telemetry_us_per_request`` (**gated**, <
-      :data:`OBS_COST_LIMIT_US_PER_REQUEST`): the absolute per-request
-      cost of traces/spans + registry updates, derived from the
-      pure-compute arms.  This is the regression-proof number: it has
-      no network term to hide behind.
-    - ``inprocess_overhead_percent`` (**gated**, <
-      :data:`OBS_INPROCESS_LIMIT_PCT`): the compute-only ratio, the
-      harshest framing (an in-memory round trip in the denominator,
-      no network term to hide behind).  Measured over the *sustained*
-      workload (:func:`_sustained_reconcile_cost`): a warm pipeline
-      running Day-2 reconcile loops, so construction and first-use
-      lazy-init costs don't masquerade as per-request telemetry.  The
-      arms use the analytics gate's batching discipline (GC paused,
-      many reconciles per sample, interleaved minimum-estimator)
-      because the per-request delta is below single-shot scheduler
-      jitter; the ratio is taken per interleaved pass (both arms
-      share the host's slow/fast phase within a pass) and the
-      cleanest of up to four passes gates.
-    """
-    from repro.core.pipeline import generate_policy
-    from repro.helm.chart import render_chart
-    from repro.operators import get_chart
-
-    chart = get_chart("nginx")
-    validator = generate_policy(chart)
-    validator.compiled()  # warm the engine outside the timed region
-    manifests = render_chart(chart)
-    requests_per_deploy = len(manifests)
-
-    #: Env posture per arm: the telemetry arm samples like the sharded
-    #: data plane in production; the baseline arm disables the layer.
-    _ARM_ENV = {
-        False: {
-            "REPRO_NO_OBS": None,
-            "REPRO_TRACE_SAMPLE": str(OBS_TRACE_SAMPLE),
-            "REPRO_EVENT_SAMPLE": str(OBS_EVENT_SAMPLE),
-        },
-        True: {
-            "REPRO_NO_OBS": "1",
-            "REPRO_TRACE_SAMPLE": None,
-            "REPRO_EVENT_SAMPLE": None,
-        },
-    }
-
-    def with_env(no_obs: bool, fn: Any) -> float:
-        previous = {
-            name: os.environ.get(name) for name in _ARM_ENV[no_obs]
-        }
-        for name, value in _ARM_ENV[no_obs].items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-        try:
-            return fn()
-        finally:
-            for name, value in previous.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
-
-    def interleave(fn: Any, reps: int, batch: int = 1) -> tuple[float, float]:
-        with_env(False, fn)  # warmup both arms
-        with_env(True, fn)
-        with_obs: list[float] = []
-        without_obs: list[float] = []
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for rep in range(reps):
-                # Alternate which arm runs first: the slot right after
-                # gc.collect() is systematically slower (cold caches),
-                # and a fixed order books that entirely to one arm --
-                # an A/A comparison shows a ~1.5% phantom overhead.
-                order = (False, True) if rep % 2 == 0 else (True, False)
-                for no_obs in order:
-                    sample = (
-                        sum(with_env(no_obs, fn) for _ in range(batch)) / batch
-                    )
-                    (without_obs if no_obs else with_obs).append(sample)
-                gc.collect()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return min(with_obs), min(without_obs)
-
-    best_with, best_without = interleave(
-        lambda: _timed_deploy(
-            validator, manifests, chart.name, delay_ms=OBS_NETWORK_DELAY_MS
-        ),
-        repetitions,
-    )
-    requests_per_reconcile = 2 * len(manifests)
-    inproc_fn = lambda: _sustained_reconcile_cost(  # noqa: E731
-        validator, manifests, chart.name
-    )
-    inproc_reps = max(repetitions, 40)
-    # The host runs through multi-second slow phases (CPU steal /
-    # frequency shifts) that inflate *both* arms roughly
-    # multiplicatively.  Within one interleaved pass the arms share
-    # the phase, so the pass's ratio stays honest; mixing arm minima
-    # *across* passes does not (the floors can come from different
-    # phases).  Estimate per pass, keep the cleanest pass, and stop
-    # early once a pass lands comfortably under the limit.
-    inproc_with, inproc_without = interleave(inproc_fn, inproc_reps)
-    for _ in range(3):
-        pct = 100.0 * (inproc_with - inproc_without) / inproc_without
-        if pct < 0.8 * OBS_INPROCESS_LIMIT_PCT:
-            break
-        again_with, again_without = interleave(inproc_fn, inproc_reps)
-        if (again_with - again_without) / again_without < (
-            inproc_with - inproc_without
-        ) / inproc_without:
-            inproc_with, inproc_without = again_with, again_without
-    overhead_pct = 100.0 * (best_with - best_without) / best_without
-    telemetry_us = 1e6 * (inproc_with - inproc_without) / requests_per_reconcile
-    return {
-        "operator": chart.name,
-        "transport": "in-process + simulated link",
-        "repetitions": repetitions,
-        "network_delay_ms": OBS_NETWORK_DELAY_MS,
-        "requests_per_deploy": requests_per_deploy,
-        "trace_sample_every": OBS_TRACE_SAMPLE,
-        "event_sample_every": OBS_EVENT_SAMPLE,
-        "deploy_ms_with_obs": round(best_with * 1000.0, 3),
-        "deploy_ms_no_obs": round(best_without * 1000.0, 3),
-        "overhead_percent": round(overhead_pct, 3),
-        "limit_percent": OBS_OVERHEAD_LIMIT_PCT,
-        "telemetry_us_per_request": round(telemetry_us, 2),
-        "telemetry_us_limit": OBS_COST_LIMIT_US_PER_REQUEST,
-        "inprocess_workload": "sustained reconcile (warm pipeline)",
-        "requests_per_reconcile": requests_per_reconcile,
-        "inprocess_deploy_ms_with_obs": round(inproc_with * 1000.0, 3),
-        "inprocess_deploy_ms_no_obs": round(inproc_without * 1000.0, 3),
-        "inprocess_overhead_percent": round(
-            100.0 * (inproc_with - inproc_without) / inproc_without, 3
-        ),
-        "inprocess_limit_percent": OBS_INPROCESS_LIMIT_PCT,
-    }
-
-
-def check_obs_overhead(
-    result: dict[str, Any], limit_pct: float = OBS_OVERHEAD_LIMIT_PCT
-) -> tuple[bool, str]:
-    """(ok, message) -- telemetry-layer overhead gates (relative RTT
-    increase on the modeled link, and absolute per-request cost)."""
-    overhead = result["overhead_percent"]
-    if overhead >= limit_pct:
-        return False, (
-            f"observability layer adds {overhead:.2f}% to deploy RTT, over the "
-            f"{limit_pct:.0f}% limit (with: {result['deploy_ms_with_obs']:.2f} ms, "
-            f"REPRO_NO_OBS: {result['deploy_ms_no_obs']:.2f} ms)"
-        )
-    per_request = result.get("telemetry_us_per_request")
-    limit_us = result.get("telemetry_us_limit", OBS_COST_LIMIT_US_PER_REQUEST)
-    if per_request is not None and per_request >= limit_us:
-        return False, (
-            f"telemetry costs {per_request:.1f} us/request, over the "
-            f"{limit_us:.0f} us ceiling"
-        )
-    inprocess = result.get("inprocess_overhead_percent")
-    inprocess_limit = result.get(
-        "inprocess_limit_percent", OBS_INPROCESS_LIMIT_PCT
-    )
-    if inprocess is not None and inprocess >= inprocess_limit:
-        return False, (
-            f"telemetry adds {inprocess:.2f}% to the in-process RTT, over "
-            f"the {inprocess_limit:.0f}% ceiling (with: "
-            f"{result['inprocess_deploy_ms_with_obs']:.3f} ms, REPRO_NO_OBS: "
-            f"{result['inprocess_deploy_ms_no_obs']:.3f} ms)"
-        )
-    return True, (
-        f"observability overhead {overhead:+.2f}% of deploy RTT "
-        f"(with: {result['deploy_ms_with_obs']:.2f} ms, "
-        f"REPRO_NO_OBS: {result['deploy_ms_no_obs']:.2f} ms; limit "
-        f"{limit_pct:.0f}%), telemetry {per_request:.1f} us/request "
-        f"(ceiling {limit_us:.0f} us), in-process {inprocess:+.2f}% "
-        f"(ceiling {inprocess_limit:.0f}%) -- ok"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Analytics-pipeline overhead gate (security-analytics PR): the full
-# event pipeline -- SecurityEvent construction, EventBus publish, and
-# live SLO + forensics subscribers -- must add < 5% to the full-deploy
-# RTT versus REPRO_NO_OBS=1 on the same modeled link.
-# ---------------------------------------------------------------------------
-
-
-#: Ceiling on what the full analytics pipeline may add to deploy RTT
-#: versus the REPRO_NO_OBS=1 baseline arm (acceptance criterion).
-ANALYTICS_OVERHEAD_LIMIT_PCT = 5.0
-
-
-def _timed_deploy_analytics(
-    validator: Any,
-    manifests: list[dict],
-    name: str,
-    delay_ms: float = 0.0,
-    pipeline: bool = False,
-) -> float:
-    """One full deploy in seconds; with ``pipeline=True`` the whole
-    analytics stack is live (bus shared by API server and proxy, SLO +
-    forensics engines subscribed), which is the worst case: every
-    request produces an audit event and a decision event, each fanned
-    out to two subscribers."""
-    from repro.analysis.overhead import DelayedTransport
-    from repro.core.proxy import KubeFenceProxy
-    from repro.k8s.apiserver import Cluster
-    from repro.operators.client import OperatorClient
-
-    bus = None
-    if pipeline:
-        from repro.obs.analytics import EventBus, ForensicsEngine, SloEngine
-
-        bus = EventBus()
-        bus.subscribe(SloEngine().observe)
-        bus.subscribe(ForensicsEngine().ingest)
-    cluster = Cluster(event_bus=bus)
-    transport: Any = KubeFenceProxy(cluster.api, validator, event_bus=bus)
-    if delay_ms:
-        transport = DelayedTransport(transport, delay_ms)
-    client = OperatorClient(transport)
-    started = time.perf_counter()
-    result = client.apply_manifests(name, manifests)
-    elapsed = time.perf_counter() - started
-    if not result.all_ok:
-        raise RuntimeError("benign deployment blocked during analytics run")
-    return elapsed
-
-
-def measure_analytics_overhead(repetitions: int = 30) -> dict[str, Any]:
-    """Full-deploy RTT with the analytics pipeline on vs ``REPRO_NO_OBS=1``.
-
-    Same interleaved best-of-minimum discipline as the observability
-    gate, with one refinement: the pipeline delta (~0.1 ms per deploy)
-    is an order of magnitude below the ``time.sleep`` granularity
-    jitter of the simulated-link arms (~3.8 ms each), so subtracting
-    two link-laden minima gates on timer noise, not on the pipeline.
-    The gated ``overhead_percent`` therefore composes the noise-free
-    compute-only delta with the *deterministic* link term
-    (``requests_per_deploy * OBS_NETWORK_DELAY_MS``) in the
-    denominator -- the same modeled device both the obs gate and
-    :mod:`repro.analysis.overhead` use for Table IV.  The raw
-    link-inclusive arms are still measured and reported
-    (``deploy_ms_with_pipeline`` / ``deploy_ms_no_obs`` and the
-    informational ``measured_link_overhead_percent``) as a sanity
-    check that the modeled number is not hiding anything.  The
-    compute-only delta is also reported as ``pipeline_us_per_request``
-    (event construction + ring append + two subscriber callbacks per
-    produced event).
-    """
-    from repro.core.pipeline import generate_policy
-    from repro.helm.chart import render_chart
-    from repro.operators import get_chart
-
-    chart = get_chart("nginx")
-    validator = generate_policy(chart)
-    validator.compiled()  # warm the engine outside the timed region
-    manifests = render_chart(chart)
-    requests_per_deploy = len(manifests)
-
-    def with_env(no_obs: bool, fn: Any) -> float:
-        previous = os.environ.get("REPRO_NO_OBS")
-        if no_obs:
-            os.environ["REPRO_NO_OBS"] = "1"
-        else:
-            os.environ.pop("REPRO_NO_OBS", None)
-        try:
-            return fn()
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_NO_OBS", None)
-            else:
-                os.environ["REPRO_NO_OBS"] = previous
-
-    def arms(delay_ms: float) -> Any:
-        def on() -> float:
-            return _timed_deploy_analytics(
-                validator, manifests, chart.name, delay_ms, pipeline=True
-            )
-
-        def off() -> float:
-            return _timed_deploy_analytics(
-                validator, manifests, chart.name, delay_ms, pipeline=False
-            )
-
-        return on, off
-
-    def interleave(
-        delay_ms: float, reps: int, batch: int = 1
-    ) -> tuple[float, float]:
-        """min-of-``reps`` per arm; each sample averages ``batch``
-        back-to-back deploys (a single compute-only deploy is ~0.3 ms,
-        small enough for scheduler blips to swamp the ~0.1 ms pipeline
-        delta -- batching divides that noise by ``batch``).  GC is
-        paused inside the timed loop so collection pauses do not land
-        on one arm only."""
-        on, off = arms(delay_ms)
-        with_env(False, on)  # warm both arms
-        with_env(True, off)
-        pipeline_times: list[float] = []
-        baseline_times: list[float] = []
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(reps):
-                pipeline_times.append(
-                    sum(with_env(False, on) for _ in range(batch)) / batch
-                )
-                baseline_times.append(
-                    sum(with_env(True, off) for _ in range(batch)) / batch
-                )
-                gc.collect()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return min(pipeline_times), min(baseline_times)
-
-    best_with, best_without = interleave(OBS_NETWORK_DELAY_MS, repetitions)
-    # The compute-only arms feed the gated number, so they get the
-    # deepest sampling: a compute deploy is ~0.4 ms, making 40x8
-    # deploys per arm sub-second per pass.  Timer/scheduler noise on a
-    # minimum estimator is strictly additive, so extra passes can only
-    # walk both minima toward their true floors -- when a pass lands
-    # close to the limit (a noisy machine state), up to two more
-    # passes deepen the floor search before the number is final.
-    inproc_reps = max(repetitions, 40)
-    inproc_with, inproc_without = interleave(0.0, inproc_reps, batch=8)
-    link_s = requests_per_deploy * OBS_NETWORK_DELAY_MS / 1000.0
-    for _ in range(2):
-        pct = 100.0 * (inproc_with - inproc_without) / (inproc_without + link_s)
-        if pct < 0.8 * ANALYTICS_OVERHEAD_LIMIT_PCT:
-            break
-        again_with, again_without = interleave(0.0, inproc_reps, batch=8)
-        inproc_with = min(inproc_with, again_with)
-        inproc_without = min(inproc_without, again_without)
-    # Gated percentage: clean compute delta over the modeled-link RTT
-    # (deterministic link term; see the docstring for why the measured
-    # link arms are too jittery to subtract from each other).
-    modeled_baseline = inproc_without + link_s
-    overhead_pct = 100.0 * (inproc_with - inproc_without) / modeled_baseline
-    pipeline_us = 1e6 * (inproc_with - inproc_without) / requests_per_deploy
-    return {
-        "operator": chart.name,
-        "transport": "in-process + simulated link",
-        "repetitions": repetitions,
-        "network_delay_ms": OBS_NETWORK_DELAY_MS,
-        "requests_per_deploy": requests_per_deploy,
-        "subscribers": ["slo-engine", "forensics-engine"],
-        "deploy_ms_with_pipeline": round(best_with * 1000.0, 3),
-        "deploy_ms_no_obs": round(best_without * 1000.0, 3),
-        "overhead_percent": round(overhead_pct, 3),
-        "limit_percent": ANALYTICS_OVERHEAD_LIMIT_PCT,
-        # Informational: the raw delta between the two link-laden arms.
-        # Dominated by sleep-granularity jitter; not gated.
-        "measured_link_overhead_percent": round(
-            100.0 * (best_with - best_without) / best_without, 3
-        ),
-        "pipeline_us_per_request": round(pipeline_us, 2),
-        "inprocess_deploy_ms_with_pipeline": round(inproc_with * 1000.0, 3),
-        "inprocess_deploy_ms_no_obs": round(inproc_without * 1000.0, 3),
-        "inprocess_overhead_percent": round(
-            100.0 * (inproc_with - inproc_without) / inproc_without, 3
-        ),
-    }
-
-
-def check_analytics_overhead(
-    result: dict[str, Any], limit_pct: float = ANALYTICS_OVERHEAD_LIMIT_PCT
-) -> tuple[bool, str]:
-    """(ok, message) -- analytics-pipeline overhead gate (relative RTT
-    increase on the modeled link)."""
-    overhead = result["overhead_percent"]
-    if overhead >= limit_pct:
-        return False, (
-            f"analytics pipeline adds {overhead:.2f}% to deploy RTT, over "
-            f"the {limit_pct:.0f}% limit (pipeline: "
-            f"{result['deploy_ms_with_pipeline']:.2f} ms, REPRO_NO_OBS: "
-            f"{result['deploy_ms_no_obs']:.2f} ms)"
-        )
-    return True, (
-        f"analytics overhead {overhead:+.2f}% of deploy RTT (pipeline: "
-        f"{result['deploy_ms_with_pipeline']:.2f} ms, REPRO_NO_OBS: "
-        f"{result['deploy_ms_no_obs']:.2f} ms; limit {limit_pct:.0f}%), "
-        f"pipeline {result['pipeline_us_per_request']:.1f} us/request -- ok"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Refinement-loop overhead gate (policy-refinement PR): field-usage
-# observation plus shadow evaluation of a candidate policy at the
-# production sampling fraction must add < 5% to the full-deploy RTT on
-# the same modeled link.  Shadow evaluation never affects served
-# decisions, but it DOES ride the proxy hot path -- this gate keeps it
-# cheap enough to leave on against live traffic.
-# ---------------------------------------------------------------------------
-
-
-#: Ceiling on what the refinement loop (field observation + shadow
-#: evaluation) may add to deploy RTT (acceptance criterion).
-REFINE_OVERHEAD_LIMIT_PCT = 5.0
-
-#: Production shadow-sampling posture: 1 in 8 write requests is
-#: re-evaluated against the candidate policy.
-REFINE_SHADOW_FRACTION = 0.125
-
-
-def _build_refine_candidate(chart: Any, validator: Any) -> Any:
-    """Synthesize a tightened candidate from profiled traffic, outside
-    any timed region.  The candidate agrees with the active policy on
-    the benchmark's own benign deploys (it only prunes fields this
-    exact traffic never exercises), so shadow arms measure evaluation
-    cost, not divergence handling."""
-    from repro.core.proxy import KubeFenceProxy
-    from repro.k8s.apiserver import Cluster
-    from repro.obs.analytics import EventBus
-    from repro.obs.refine import RefineController
-    from repro.operators.client import OperatorClient
-
-    bus = EventBus()
-    cluster = Cluster(event_bus=bus)
-    proxy = KubeFenceProxy(cluster.api, validator, event_bus=bus)
-    controller = RefineController(proxy, min_samples=5)
-    client = OperatorClient(proxy)
-    deployed = client.deploy_chart(chart)
-    if not deployed.all_ok:
-        raise RuntimeError("profiling deploy blocked during refine bench")
-    for _ in range(6):
-        client.reconcile(deployed)
-    candidate = controller.build_candidate()
-    controller.close()
-    candidate.validator.compiled()  # warm outside the timed region
-    return candidate
-
-
-def _timed_deploy_refine(
-    validator: Any,
-    manifests: list[dict],
-    name: str,
-    delay_ms: float = 0.0,
-    candidate: Any = None,
-    observe: bool = False,
-) -> tuple[float, int]:
-    """One full deploy in seconds plus the number of shadow
-    evaluations it triggered.  ``observe=True`` is the loop's
-    *profiling* phase (field-usage extraction on every allowed write);
-    ``candidate`` set is the *canary* phase (a
-    :class:`ShadowEvaluator` at the production sampling fraction).
-    :class:`~repro.obs.refine.RefineController` keeps the two phases
-    mutually exclusive on a live proxy, so each is timed -- and gated
-    -- on its own."""
-    from repro.analysis.overhead import DelayedTransport
-    from repro.core.proxy import KubeFenceProxy
-    from repro.k8s.apiserver import Cluster
-    from repro.obs.analytics import EventBus
-    from repro.operators.client import OperatorClient
-
-    bus = EventBus()
-    cluster = Cluster(event_bus=bus)
-    proxy = KubeFenceProxy(cluster.api, validator, event_bus=bus)
-    shadow = None
-    if candidate is not None:
-        from repro.obs.refine import ShadowEvaluator
-
-        shadow = ShadowEvaluator(
-            candidate.validator, fraction=REFINE_SHADOW_FRACTION,
-            event_bus=bus,
-        )
-        proxy.shadow = shadow
-    proxy.observe_fields = observe
-    transport: Any = proxy
-    if delay_ms:
-        transport = DelayedTransport(transport, delay_ms)
-    client = OperatorClient(transport)
-    started = time.perf_counter()
-    result = client.apply_manifests(name, manifests)
-    elapsed = time.perf_counter() - started
-    if not result.all_ok:
-        raise RuntimeError("benign deployment blocked during refine run")
-    evaluations = shadow.snapshot()["evaluations"] if shadow else 0
-    return elapsed, evaluations
-
-
-def measure_refine_overhead(repetitions: int = 30) -> dict[str, Any]:
-    """Full-deploy RTT for each refinement phase vs the plain stack.
-
-    The refinement loop alternates between two mutually exclusive
-    hot-path postures (``RefineController`` enforces the exclusivity):
-    the **profile** phase extracts a field sample from every allowed
-    write, and the **canary** phase shadow-evaluates 1-in-K writes
-    against the candidate.  Each phase is timed against the same
-    baseline and gated independently; the headline
-    ``overhead_percent`` is the worst phase.
-
-    Same interleaved best-of-minimum discipline as the analytics gate,
-    and the same modeled-link composition: the gated percentage is the
-    noise-free compute-only delta over the deterministic link RTT
-    (``requests_per_deploy * OBS_NETWORK_DELAY_MS``), with the raw
-    link-laden arms reported as a sanity check."""
-    from repro.core.pipeline import generate_policy
-    from repro.helm.chart import render_chart
-    from repro.operators import get_chart
-
-    chart = get_chart("nginx")
-    validator = generate_policy(chart)
-    validator.compiled()  # warm the engine outside the timed region
-    manifests = render_chart(chart)
-    requests_per_deploy = len(manifests)
-    candidate = _build_refine_candidate(chart, validator)
-
-    # Divergence sanity outside the timed region: the candidate must
-    # agree with the active policy on this exact traffic, otherwise
-    # the canary arm would be timing divergence bookkeeping too.
-    from repro.obs.refine import ShadowEvaluator
-
-    probe = ShadowEvaluator(candidate.validator, fraction=1.0)
-    for manifest in manifests:
-        probe.observe(manifest, True, user="bench", verb="create")
-    probe_snapshot = probe.snapshot()
-    if any(probe_snapshot["divergence"].values()):
-        raise RuntimeError(
-            f"refine bench candidate diverges on benign traffic: "
-            f"{probe_snapshot}"
-        )
-
-    evaluation_counts: list[int] = []
-
-    def arms(delay_ms: float) -> Any:
-        def profile() -> float:
-            elapsed, _ = _timed_deploy_refine(
-                validator, manifests, chart.name, delay_ms, observe=True
-            )
-            return elapsed
-
-        def canary() -> float:
-            elapsed, evaluations = _timed_deploy_refine(
-                validator, manifests, chart.name, delay_ms,
-                candidate=candidate,
-            )
-            evaluation_counts.append(evaluations)
-            return elapsed
-
-        def off() -> float:
-            elapsed, _ = _timed_deploy_refine(
-                validator, manifests, chart.name, delay_ms
-            )
-            return elapsed
-
-        return profile, canary, off
-
-    def interleave(
-        delay_ms: float, reps: int, batch: int = 1
-    ) -> tuple[float, float, float]:
-        """min-of-``reps`` per arm, ``batch`` back-to-back deploys per
-        sample, GC paused inside the timed loop (same rationale as the
-        analytics gate: the per-deploy delta is far below scheduler
-        jitter on a single deploy)."""
-        profile, canary, off = arms(delay_ms)
-        profile()  # warm all three arms
-        canary()
-        off()
-        profile_times: list[float] = []
-        canary_times: list[float] = []
-        baseline_times: list[float] = []
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(reps):
-                profile_times.append(
-                    sum(profile() for _ in range(batch)) / batch
-                )
-                canary_times.append(
-                    sum(canary() for _ in range(batch)) / batch
-                )
-                baseline_times.append(
-                    sum(off() for _ in range(batch)) / batch
-                )
-                gc.collect()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return min(profile_times), min(canary_times), min(baseline_times)
-
-    best_profile, best_canary, best_off = interleave(
-        OBS_NETWORK_DELAY_MS, repetitions
-    )
-    inproc_reps = max(repetitions, 40)
-    inproc_profile, inproc_canary, inproc_off = interleave(
-        0.0, inproc_reps, batch=8
-    )
-    link_s = requests_per_deploy * OBS_NETWORK_DELAY_MS / 1000.0
-    for _ in range(2):
-        worst = max(inproc_profile, inproc_canary)
-        pct = 100.0 * (worst - inproc_off) / (inproc_off + link_s)
-        if pct < 0.8 * REFINE_OVERHEAD_LIMIT_PCT:
-            break
-        again = interleave(0.0, inproc_reps, batch=8)
-        inproc_profile = min(inproc_profile, again[0])
-        inproc_canary = min(inproc_canary, again[1])
-        inproc_off = min(inproc_off, again[2])
-    modeled_baseline = inproc_off + link_s
-    profile_pct = 100.0 * (inproc_profile - inproc_off) / modeled_baseline
-    canary_pct = 100.0 * (inproc_canary - inproc_off) / modeled_baseline
-    worst_delta = max(inproc_profile, inproc_canary) - inproc_off
-    refine_us = 1e6 * worst_delta / requests_per_deploy
-    return {
-        "operator": chart.name,
-        "transport": "in-process + simulated link",
-        "repetitions": repetitions,
-        "network_delay_ms": OBS_NETWORK_DELAY_MS,
-        "requests_per_deploy": requests_per_deploy,
-        "phases": ["profile", "canary"],
-        "shadow_fraction": REFINE_SHADOW_FRACTION,
-        "candidate_actions": len(candidate.actions),
-        "candidate_revision": candidate.validator.policy_revision,
-        "shadow_evaluations_per_deploy": round(
-            sum(evaluation_counts) / max(1, len(evaluation_counts)), 2
-        ),
-        "deploy_ms_profile": round(best_profile * 1000.0, 3),
-        "deploy_ms_canary": round(best_canary * 1000.0, 3),
-        "deploy_ms_baseline": round(best_off * 1000.0, 3),
-        # Gated: the worst phase's modeled-link percentage.
-        "overhead_percent": round(max(profile_pct, canary_pct), 3),
-        "profile_overhead_percent": round(profile_pct, 3),
-        "canary_overhead_percent": round(canary_pct, 3),
-        "limit_percent": REFINE_OVERHEAD_LIMIT_PCT,
-        "refine_us_per_request": round(refine_us, 2),
-        "inprocess_deploy_ms_profile": round(inproc_profile * 1000.0, 3),
-        "inprocess_deploy_ms_canary": round(inproc_canary * 1000.0, 3),
-        "inprocess_deploy_ms_baseline": round(inproc_off * 1000.0, 3),
-        "inprocess_overhead_percent": round(
-            100.0 * worst_delta / inproc_off, 3
-        ),
-    }
-
-
-def check_refine_overhead(
-    result: dict[str, Any], limit_pct: float = REFINE_OVERHEAD_LIMIT_PCT
-) -> tuple[bool, str]:
-    """(ok, message) -- refinement-loop overhead gate: the worst of
-    the two (mutually exclusive) phases, as relative RTT increase on
-    the modeled link."""
-    overhead = result["overhead_percent"]
-    detail = (
-        f"profile {result['profile_overhead_percent']:+.2f}%, "
-        f"canary {result['canary_overhead_percent']:+.2f}% "
-        f"(baseline {result['deploy_ms_baseline']:.2f} ms; "
-        f"limit {limit_pct:.0f}%)"
-    )
-    if overhead >= limit_pct:
-        return False, (
-            f"refinement loop adds {overhead:.2f}% to deploy RTT in its "
-            f"worst phase, over the limit: {detail}"
-        )
-    return True, (
-        f"refine overhead {overhead:+.2f}% of deploy RTT in the worst "
-        f"phase: {detail}, shadow@{result['shadow_fraction']} "
-        f"{result['refine_us_per_request']:.1f} us/request -- ok"
-    )
-
-
-# ---------------------------------------------------------------------------
-# CVE-scanner overhead gate (continuous-scanner PR): a live scanner
-# loop -- feed refresh + store snapshot + trigger matching on every
-# tick -- shares the process with the enforcement hot path.  Its only
-# hot-path touchpoint is the store's lock (snapshot() copies under the
-# same RLock writes take), so the gate proves a continuously ticking
-# scanner adds < 5% to the sustained reconcile RTT on the modeled link.
-# ---------------------------------------------------------------------------
-
-
-#: Ceiling on what the ticking scanner may add to the sustained
-#: reconcile RTT versus a scanner-free run (acceptance criterion).
-SCAN_OVERHEAD_LIMIT_PCT = 5.0
-
-#: Tick interval of the measured arm.  Far more aggressive than the
-#: production default (30 s): at 1 ms the scanner wakes multiple times
-#: inside every timed sample, so the measurement can't dodge the
-#: contention by landing between ticks.
-SCAN_BENCH_INTERVAL_S = 0.001
-
-
-def measure_scan_overhead(repetitions: int = 30) -> dict[str, Any]:
-    """Sustained reconcile RTT with a ticking CVE scanner vs without.
-
-    One warm stack (cluster + proxy + deployed nginx release) serves
-    both arms so the store contents -- what the scanner iterates and
-    locks -- are identical.  Each sample times a batch of Day-2
-    reconcile passes; the scanner arm runs the service loop at
-    :data:`SCAN_BENCH_INTERVAL_S` (started before, stopped after each
-    timed sample, so thread churn stays outside the clock).  Same
-    modeled-link composition as the analytics gate: the gated
-    percentage is the compute-only delta over the deterministic link
-    RTT (``requests_per_reconcile * OBS_NETWORK_DELAY_MS``), with the
-    in-process ratio reported alongside.
-    """
-    from repro.core.pipeline import generate_policy
-    from repro.core.proxy import KubeFenceProxy
-    from repro.helm.chart import render_chart
-    from repro.k8s.apiserver import Cluster
-    from repro.obs.analytics import EventBus
-    from repro.operators import get_chart
-    from repro.operators.client import OperatorClient
-    from repro.scan import CVEScanner
-
-    chart = get_chart("nginx")
-    validator = generate_policy(chart)
-    validator.compiled()  # warm the engine outside the timed region
-    manifests = render_chart(chart)
-    requests_per_reconcile = 2 * len(manifests)
-
-    bus = EventBus()
-    cluster = Cluster(event_bus=bus)
-    client = OperatorClient(KubeFenceProxy(cluster.api, validator, event_bus=bus))
-    deployed = client.apply_manifests(chart.name, manifests)
-    if not deployed.all_ok:
-        raise RuntimeError("benign deployment blocked during scan-overhead run")
-    client.reconcile(deployed)  # warm caches, thread cells
-
-    scanner = CVEScanner(
-        cluster,
-        assume_vulnerable=True,
-        interval=SCAN_BENCH_INTERVAL_S,
-        event_bus=bus,
-        validator=validator,
-    )
-    scanner.scan_once()  # warm the feed + dedupe set outside the clock
-
-    batch = 8
-
-    def reconcile_cost() -> float:
-        started = time.perf_counter()
-        for _ in range(batch):
-            responses = client.reconcile(deployed)
-        elapsed = (time.perf_counter() - started) / batch
-        if not all(r.ok for r in responses):
-            raise RuntimeError("reconcile failed during scan-overhead run")
-        return elapsed
-
-    with_scan: list[float] = []
-    without_scan: list[float] = []
-    ticks_before = scanner.status()["ticks"]
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for rep in range(repetitions):
-            # Alternate arm order (see the obs gate: the post-collect
-            # slot is systematically slower).
-            order = (False, True) if rep % 2 == 0 else (True, False)
-            for scanning in order:
-                if scanning:
-                    scanner.start()
-                    sample = reconcile_cost()
-                    scanner.stop()
-                    with_scan.append(sample)
-                else:
-                    without_scan.append(reconcile_cost())
-            gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    ticks = scanner.status()["ticks"] - ticks_before
-    if ticks <= 0:
-        raise RuntimeError("scanner never ticked inside the measured arm")
-
-    best_with = min(with_scan)
-    best_without = min(without_scan)
-    link_s = requests_per_reconcile * OBS_NETWORK_DELAY_MS / 1000.0
-    modeled_baseline = best_without + link_s
-    overhead_pct = 100.0 * (best_with - best_without) / modeled_baseline
-    return {
-        "operator": chart.name,
-        "transport": "in-process + simulated link",
-        "workload": "sustained reconcile (warm pipeline)",
-        "repetitions": repetitions,
-        "batch": batch,
-        "network_delay_ms": OBS_NETWORK_DELAY_MS,
-        "requests_per_reconcile": requests_per_reconcile,
-        "scan_interval_ms": SCAN_BENCH_INTERVAL_S * 1000.0,
-        "scan_ticks_during_measurement": ticks,
-        "store_objects": len(cluster.store),
-        "reconcile_ms_with_scanner": round(best_with * 1000.0, 3),
-        "reconcile_ms_no_scanner": round(best_without * 1000.0, 3),
-        "overhead_percent": round(overhead_pct, 3),
-        "limit_percent": SCAN_OVERHEAD_LIMIT_PCT,
-        "inprocess_overhead_percent": round(
-            100.0 * (best_with - best_without) / best_without, 3
-        ),
-    }
-
-
-def check_scan_overhead(
-    result: dict[str, Any], limit_pct: float = SCAN_OVERHEAD_LIMIT_PCT
-) -> tuple[bool, str]:
-    """(ok, message) -- scanner-overhead gate: relative RTT increase
-    of the sustained reconcile workload on the modeled link."""
-    overhead = result["overhead_percent"]
-    if overhead >= limit_pct:
-        return False, (
-            f"CVE scanner adds {overhead:.2f}% to reconcile RTT, over the "
-            f"{limit_pct:.0f}% limit (scanner: "
-            f"{result['reconcile_ms_with_scanner']:.3f} ms, without: "
-            f"{result['reconcile_ms_no_scanner']:.3f} ms, "
-            f"{result['scan_ticks_during_measurement']} ticks measured)"
-        )
-    return True, (
-        f"scan overhead {overhead:+.2f}% of reconcile RTT (scanner: "
-        f"{result['reconcile_ms_with_scanner']:.3f} ms, without: "
-        f"{result['reconcile_ms_no_scanner']:.3f} ms; limit "
-        f"{limit_pct:.0f}%; {result['scan_ticks_during_measurement']} "
-        f"ticks at {result['scan_interval_ms']:.0f} ms inside the "
-        f"measured arm) -- ok"
-    )
-
-
-# ---------------------------------------------------------------------------
-# WAL (durability) overhead gate
-# ---------------------------------------------------------------------------
-
-
-#: Ceiling on what write-ahead logging may add to the sustained
-#: reconcile RTT versus the in-memory store (acceptance criterion).
-WAL_OVERHEAD_LIMIT_PCT = 8.0
-
-#: Fsync policy of the measured durable arm: the production default
-#: (group fsync every BATCH_FSYNC_EVERY appends).
-WAL_BENCH_FSYNC = "batch"
-
-
-def measure_wal_overhead(repetitions: int = 30) -> dict[str, Any]:
-    """Sustained reconcile RTT with a WAL-backed store vs in-memory.
-
-    Two warm stacks (cluster + proxy + deployed nginx release) differ
-    in exactly one thing: the durable arm's ``ObjectStore`` appends
-    every acknowledged write to a write-ahead log (:mod:`repro.k8s.wal`,
-    ``fsync=batch``) before mutating memory, the baseline arm is the
-    plain in-memory store.  Each sample times a batch of Day-2
-    reconcile passes (every pass is ``2 * len(manifests)`` requests,
-    half of them writes, so every sample exercises the append path).
-    Same modeled-link composition as the other gates: the gated
-    percentage is the compute-only delta over the deterministic link
-    RTT, with the in-process ratio reported alongside.
-    """
-    import shutil
-    import tempfile
-
-    from repro.core.pipeline import generate_policy
-    from repro.core.proxy import KubeFenceProxy
-    from repro.helm.chart import render_chart
-    from repro.k8s.apiserver import Cluster
-    from repro.operators import get_chart
-    from repro.operators.client import OperatorClient
-
-    chart = get_chart("nginx")
-    validator = generate_policy(chart)
-    validator.compiled()  # warm the engine outside the timed region
-    manifests = render_chart(chart)
-    requests_per_reconcile = 2 * len(manifests)
-
-    data_dir = tempfile.mkdtemp(prefix="kubefence-walbench-")
-    batch = 8
-    try:
-        durable_cluster = Cluster(data_dir=data_dir, fsync=WAL_BENCH_FSYNC)
-        memory_cluster = Cluster()
-        arms: dict[bool, Any] = {}
-        for durable, cluster in ((True, durable_cluster), (False, memory_cluster)):
-            client = OperatorClient(KubeFenceProxy(cluster.api, validator))
-            deployed = client.apply_manifests(chart.name, manifests)
-            if not deployed.all_ok:
-                raise RuntimeError("benign deployment blocked during wal-overhead run")
-            client.reconcile(deployed)  # warm caches, thread cells
-            arms[durable] = (client, deployed)
-
-        def reconcile_cost(durable: bool) -> float:
-            client, deployed = arms[durable]
-            started = time.perf_counter()
-            for _ in range(batch):
-                responses = client.reconcile(deployed)
-            elapsed = (time.perf_counter() - started) / batch
-            if not all(r.ok for r in responses):
-                raise RuntimeError("reconcile failed during wal-overhead run")
-            return elapsed
-
-        with_wal: list[float] = []
-        without_wal: list[float] = []
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for rep in range(repetitions):
-                # Alternate arm order (see the obs gate: the
-                # post-collect slot is systematically slower).
-                order = (False, True) if rep % 2 == 0 else (True, False)
-                for durable in order:
-                    sample = reconcile_cost(durable)
-                    (with_wal if durable else without_wal).append(sample)
-                gc.collect()
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-        wal = durable_cluster.store.wal
-        appends = wal.appends if wal is not None else 0
-        durable_cluster.store.close()
-    finally:
-        shutil.rmtree(data_dir, ignore_errors=True)
-
-    best_with = min(with_wal)
-    best_without = min(without_wal)
-    link_s = requests_per_reconcile * OBS_NETWORK_DELAY_MS / 1000.0
-    modeled_baseline = best_without + link_s
-    overhead_pct = 100.0 * (best_with - best_without) / modeled_baseline
-    return {
-        "operator": chart.name,
-        "transport": "in-process + simulated link",
-        "workload": "sustained reconcile (warm pipeline)",
-        "repetitions": repetitions,
-        "batch": batch,
-        "network_delay_ms": OBS_NETWORK_DELAY_MS,
-        "requests_per_reconcile": requests_per_reconcile,
-        "fsync": WAL_BENCH_FSYNC,
-        "wal_appends": appends,
-        "reconcile_ms_with_wal": round(best_with * 1000.0, 3),
-        "reconcile_ms_in_memory": round(best_without * 1000.0, 3),
-        "overhead_percent": round(overhead_pct, 3),
-        "limit_percent": WAL_OVERHEAD_LIMIT_PCT,
-        "inprocess_overhead_percent": round(
-            100.0 * (best_with - best_without) / best_without, 3
-        ),
-    }
-
-
-def check_wal_overhead(
-    result: dict[str, Any], limit_pct: float = WAL_OVERHEAD_LIMIT_PCT
-) -> tuple[bool, str]:
-    """(ok, message) -- durability gate: relative RTT increase of the
-    sustained reconcile workload on the modeled link."""
-    overhead = result["overhead_percent"]
-    if overhead >= limit_pct:
-        return False, (
-            f"WAL adds {overhead:.2f}% to reconcile RTT, over the "
-            f"{limit_pct:.0f}% limit (durable: "
-            f"{result['reconcile_ms_with_wal']:.3f} ms, in-memory: "
-            f"{result['reconcile_ms_in_memory']:.3f} ms, "
-            f"{result['wal_appends']} appends, fsync={result['fsync']})"
-        )
-    return True, (
-        f"wal overhead {overhead:+.2f}% of reconcile RTT (durable: "
-        f"{result['reconcile_ms_with_wal']:.3f} ms, in-memory: "
-        f"{result['reconcile_ms_in_memory']:.3f} ms; limit "
-        f"{limit_pct:.0f}%; {result['wal_appends']} appends at "
-        f"fsync={result['fsync']}) -- ok"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Continuous-profiler overhead gate: the PR 10 acceptance criterion --
-# the sampling wall-clock profiler adds < 5% to the sustained reconcile
-# RTT on the modeled link.
-# ---------------------------------------------------------------------------
-
-
-#: Ceiling on what the sampling profiler may add to the sustained
-#: reconcile RTT versus a profiler-off run (acceptance criterion).
-PROFILE_OVERHEAD_LIMIT_PCT = 5.0
-
-#: Sampling rate of the measured arm.  ~4x the production default
-#: (67 Hz): if the gate holds at 250 Hz it holds with margin at the
-#: rate components actually run, and the faster rate guarantees many
-#: sweeps land inside every timed sample.
-PROFILE_BENCH_HZ = 250.0
-
-
-def measure_profile_overhead(repetitions: int = 30) -> dict[str, Any]:
-    """Sustained reconcile RTT with the sampling profiler on vs off.
-
-    One warm stack (cluster + proxy + deployed nginx release) serves
-    both arms so the thread population the sampler walks is identical.
-    Each sample times a batch of Day-2 reconcile passes; the profiled
-    arm runs a private :class:`~repro.obs.profile.SamplingProfiler` at
-    :data:`PROFILE_BENCH_HZ` (started before, stopped after each timed
-    sample, so thread churn stays outside the clock).  Same
-    modeled-link composition as the other gates: the gated percentage
-    is the compute-only delta over the deterministic link RTT
-    (``requests_per_reconcile * OBS_NETWORK_DELAY_MS``), with the
-    in-process ratio reported alongside.
-    """
-    from repro.core.pipeline import generate_policy
-    from repro.core.proxy import KubeFenceProxy
-    from repro.helm.chart import render_chart
-    from repro.k8s.apiserver import Cluster
-    from repro.obs.profile import SamplingProfiler
-    from repro.operators import get_chart
-    from repro.operators.client import OperatorClient
-
-    chart = get_chart("nginx")
-    validator = generate_policy(chart)
-    validator.compiled()  # warm the engine outside the timed region
-    manifests = render_chart(chart)
-    requests_per_reconcile = 2 * len(manifests)
-
-    cluster = Cluster()
-    client = OperatorClient(KubeFenceProxy(cluster.api, validator))
-    deployed = client.apply_manifests(chart.name, manifests)
-    if not deployed.all_ok:
-        raise RuntimeError("benign deployment blocked during profile-overhead run")
-    client.reconcile(deployed)  # warm caches, thread cells
-
-    profiler = SamplingProfiler(hz=PROFILE_BENCH_HZ)
-
-    batch = 8
-
-    def reconcile_cost() -> float:
-        started = time.perf_counter()
-        for _ in range(batch):
-            responses = client.reconcile(deployed)
-        elapsed = (time.perf_counter() - started) / batch
-        if not all(r.ok for r in responses):
-            raise RuntimeError("reconcile failed during profile-overhead run")
-        return elapsed
-
-    with_profiler: list[float] = []
-    without_profiler: list[float] = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for rep in range(repetitions):
-            # Alternate arm order (see the obs gate: the post-collect
-            # slot is systematically slower).
-            order = (False, True) if rep % 2 == 0 else (True, False)
-            for profiling in order:
-                if profiling:
-                    if not profiler.start():
-                        raise RuntimeError(
-                            "profiler refused to start -- is REPRO_NO_OBS set?"
-                        )
-                    sample = reconcile_cost()
-                    profiler.stop()
-                    with_profiler.append(sample)
-                else:
-                    without_profiler.append(reconcile_cost())
-            gc.collect()
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    samples = profiler.stats(top=0)["samples"]
-    if samples <= 0:
-        raise RuntimeError("profiler never sampled inside the measured arm")
-
-    best_with = min(with_profiler)
-    best_without = min(without_profiler)
-    link_s = requests_per_reconcile * OBS_NETWORK_DELAY_MS / 1000.0
-    modeled_baseline = best_without + link_s
-    overhead_pct = 100.0 * (best_with - best_without) / modeled_baseline
-    return {
-        "operator": chart.name,
-        "transport": "in-process + simulated link",
-        "workload": "sustained reconcile (warm pipeline)",
-        "repetitions": repetitions,
-        "batch": batch,
-        "network_delay_ms": OBS_NETWORK_DELAY_MS,
-        "requests_per_reconcile": requests_per_reconcile,
-        "profile_hz": PROFILE_BENCH_HZ,
-        "profile_samples_during_measurement": samples,
-        "distinct_stacks": profiler.stats(top=0)["distinct_stacks"],
-        "reconcile_ms_with_profiler": round(best_with * 1000.0, 3),
-        "reconcile_ms_no_profiler": round(best_without * 1000.0, 3),
-        "overhead_percent": round(overhead_pct, 3),
-        "limit_percent": PROFILE_OVERHEAD_LIMIT_PCT,
-        "inprocess_overhead_percent": round(
-            100.0 * (best_with - best_without) / best_without, 3
-        ),
-    }
-
-
-def check_profile_overhead(
-    result: dict[str, Any], limit_pct: float = PROFILE_OVERHEAD_LIMIT_PCT
-) -> tuple[bool, str]:
-    """(ok, message) -- profiler-overhead gate: relative RTT increase
-    of the sustained reconcile workload on the modeled link."""
-    overhead = result["overhead_percent"]
-    if overhead >= limit_pct:
-        return False, (
-            f"profiler adds {overhead:.2f}% to reconcile RTT, over the "
-            f"{limit_pct:.0f}% limit (profiled: "
-            f"{result['reconcile_ms_with_profiler']:.3f} ms, without: "
-            f"{result['reconcile_ms_no_profiler']:.3f} ms, "
-            f"{result['profile_samples_during_measurement']} samples at "
-            f"{result['profile_hz']:.0f} Hz)"
-        )
-    return True, (
-        f"profile overhead {overhead:+.2f}% of reconcile RTT (profiled: "
-        f"{result['reconcile_ms_with_profiler']:.3f} ms, without: "
-        f"{result['reconcile_ms_no_profiler']:.3f} ms; limit "
-        f"{limit_pct:.0f}%; {result['profile_samples_during_measurement']} "
-        f"samples at {result['profile_hz']:.0f} Hz inside the measured "
-        f"arm) -- ok"
-    )
-
-
 def load_baseline() -> dict[str, Any] | None:
     if BASELINE_PATH.exists():
         return json.loads(BASELINE_PATH.read_text())
     return None
 
 
-def write_results(result: dict[str, Any], path: Path = RESULTS_PATH) -> None:
+# ---------------------------------------------------------------------------
+# The paired-arm overhead gates
+# ---------------------------------------------------------------------------
+
+
+class Stack(NamedTuple):
+    """The warm plain stack every arm starts from: the nginx release
+    deployed and reconciled once through an in-process proxy, API
+    server and proxy publishing onto one bus nobody subscribes to."""
+
+    chart: Any
+    validator: Any
+    manifests: list[dict]
+    bus: Any
+    cluster: Any
+    proxy: Any
+    client: Any
+    deployed: Any
+
+
+class Arm(NamedTuple):
+    """One feature switched onto a :class:`Stack`.  ``enter``/``exit``
+    run outside the clock around every feature-on sample; ``activity``
+    reads a counter of the feature's own work (``unit`` names it), so
+    the runner can refuse a measurement the feature slept through;
+    ``period_s`` is the wake period of a background feature."""
+
+    enter: Callable[[], Any]
+    exit: Callable[[], Any]
+    activity: Callable[[], int]
+    unit: str
+    period_s: float = 0.0
+
+
+class Gate(NamedTuple):
+    name: str
+    #: ceiling on what the feature may add to reconcile RTT on the
+    #: modeled link (acceptance criterion of the PR that added it)
+    limit_pct: float
+    arm: Callable[[Stack], Arm]
+
+
+@functools.cache
+def _nginx_policy() -> tuple[Any, Any, list[dict]]:
+    from repro.core.pipeline import generate_policy
+    from repro.helm.chart import render_chart
+    from repro.operators import get_chart
+
+    chart = get_chart("nginx")
+    validator = generate_policy(chart)
+    validator.compiled()  # warm the engine outside any timed region
+    return chart, validator, render_chart(chart)
+
+
+def warm_stack() -> Stack:
+    from repro.core.proxy import KubeFenceProxy
+    from repro.k8s.apiserver import Cluster
+    from repro.obs.analytics import EventBus
+    from repro.operators.client import OperatorClient
+
+    chart, validator, manifests = _nginx_policy()
+    bus = EventBus()
+    cluster = Cluster(event_bus=bus)
+    proxy = KubeFenceProxy(cluster.api, validator, event_bus=bus)
+    client = OperatorClient(proxy)
+    deployed = client.apply_manifests(chart.name, manifests)
+    if not deployed.all_ok:
+        raise RuntimeError("benign deployment blocked while warming the stack")
+    client.reconcile(deployed)  # warm: caches, thread cells, sample windows
+    return Stack(chart, validator, manifests, bus, cluster, proxy, client, deployed)
+
+
+def _analytics_arm(stack: Stack) -> Arm:
+    """The analytics pipeline: a live SLO engine and forensics engine
+    subscribed to the bus, so every audit and decision event fans out
+    to two subscribers."""
+    from repro.obs.analytics import ForensicsEngine, SloEngine
+
+    slo, forensics = SloEngine(), ForensicsEngine()
+    unsubscribe: list[Callable[[], None]] = []
+
+    def attach() -> None:
+        unsubscribe.extend(
+            (stack.bus.subscribe(slo.observe), stack.bus.subscribe(forensics.ingest))
+        )
+
+    def detach() -> None:
+        while unsubscribe:
+            unsubscribe.pop()()
+
+    return Arm(attach, detach, lambda: len(forensics), "events ingested")
+
+
+def _refine_profile_arm(stack: Stack) -> Arm:
+    """The refinement loop's *profile* phase: every allowed write's
+    decision event carries its manifest field sample."""
+
+    def switch(on: bool) -> Callable[[], None]:
+        return lambda: setattr(stack.proxy, "observe_fields", on)
+
+    def field_samples() -> int:
+        # Read off the bus's bounded ring (newest 4096 events): evidence
+        # that samples were taken, not a running total.
+        return sum(
+            "fields" in event.detail for event in stack.bus.events(kind="decision")
+        )
+
+    return Arm(switch(True), switch(False), field_samples, "field samples in the event ring")
+
+
+def _refine_canary_arm(stack: Stack) -> Arm:
+    """The refinement loop's *canary* phase: a :class:`ShadowEvaluator`
+    re-evaluating 1-in-8 writes against a tightened candidate.
+    (``RefineController`` keeps the two phases mutually exclusive on a
+    live proxy, so each is gated on its own.)"""
+    from repro.core.proxy import KubeFenceProxy
+    from repro.k8s.apiserver import Cluster
+    from repro.obs.analytics import EventBus
+    from repro.obs.refine import RefineController, ShadowEvaluator
+    from repro.operators.client import OperatorClient
+
+    # Synthesize the candidate from profiled traffic on a scratch
+    # stack: it only prunes fields this exact traffic never exercises.
+    bus = EventBus()
+    proxy = KubeFenceProxy(Cluster(event_bus=bus).api, stack.validator, event_bus=bus)
+    controller = RefineController(proxy, min_samples=5)
+    client = OperatorClient(proxy)
+    deployed = client.deploy_chart(stack.chart)
+    if not deployed.all_ok:
+        raise RuntimeError("profiling deploy blocked while building the candidate")
+    for _ in range(6):
+        client.reconcile(deployed)
+    candidate = controller.build_candidate()
+    controller.close()
+    if not candidate.actions:
+        raise RuntimeError("refine candidate tightened nothing")
+    candidate.validator.compiled()  # warm outside the timed region
+
+    # The candidate must agree with the active policy on this traffic,
+    # otherwise the arm would be timing divergence bookkeeping too.
+    probe = ShadowEvaluator(candidate.validator, fraction=1.0)
+    for manifest in stack.manifests:
+        probe.observe(manifest, True, user="bench", verb="create")
+    if any(probe.snapshot()["divergence"].values()):
+        raise RuntimeError(
+            f"refine candidate diverges on benign traffic: {probe.snapshot()}"
+        )
+
+    shadow = ShadowEvaluator(
+        candidate.validator, fraction=REFINE_SHADOW_FRACTION, event_bus=stack.bus
+    )
+
+    def switch(value: Any) -> Callable[[], None]:
+        return lambda: setattr(stack.proxy, "shadow", value)
+
+    return Arm(
+        switch(shadow), switch(None),
+        lambda: shadow.snapshot()["evaluations"],
+        f"shadow evaluations at fraction {REFINE_SHADOW_FRACTION}",
+    )
+
+
+def _scan_arm(stack: Stack) -> Arm:
+    """A continuously ticking CVE scanner: feed refresh + store
+    snapshot + trigger matching every tick.  Its only hot-path
+    touchpoint is the store's lock (``snapshot()`` copies under the
+    same RLock writes take)."""
+    from repro.scan import CVEScanner
+
+    scanner = CVEScanner(
+        stack.cluster,
+        assume_vulnerable=True,
+        interval=SCAN_BENCH_INTERVAL_S,
+        event_bus=stack.bus,
+        validator=stack.validator,
+    )
+    scanner.scan_once()  # warm the feed + dedupe set outside the clock
+    return Arm(
+        scanner.start, scanner.stop,
+        lambda: scanner.status()["ticks"],
+        f"scanner ticks at {SCAN_BENCH_INTERVAL_S * 1000:.0f} ms",
+        period_s=SCAN_BENCH_INTERVAL_S,
+    )
+
+
+def _profile_arm(stack: Stack) -> Arm:
+    """A private sampling wall-clock profiler walking the same thread
+    population both arms run on."""
+    from repro.obs.profile import SamplingProfiler
+
+    profiler = SamplingProfiler(hz=PROFILE_BENCH_HZ)
+    return Arm(
+        profiler.start, profiler.stop,
+        lambda: profiler.stats(top=0)["samples"],
+        f"profiler samples at {PROFILE_BENCH_HZ:.0f} Hz",
+        period_s=1.0 / PROFILE_BENCH_HZ,
+    )
+
+
+GATES: tuple[Gate, ...] = (
+    Gate("analytics", 5.0, _analytics_arm),
+    Gate("refine_profile", 5.0, _refine_profile_arm),
+    Gate("refine_canary", 5.0, _refine_canary_arm),
+    Gate("scan", 5.0, _scan_arm),
+    Gate("profile", 5.0, _profile_arm),
+)
+
+
+def measure(gate: Gate, repetitions: int = 30) -> dict[str, Any]:
+    """Sustained reconcile RTT with *gate*'s feature on vs the plain stack.
+
+    One warm stack serves both arms, so caches, store contents and
+    thread population are identical.  Each sample times a batch of
+    Day-2 reconcile passes (get + re-apply per manifest, all allowed);
+    the feature is switched on before and off after each of its
+    samples, outside the clock.  The estimator is the minimum per arm
+    over ``repetitions`` interleaved samples: timer and scheduler noise
+    is strictly additive, so the minima approach the true floors.  The
+    gated ``overhead_percent`` is that compute-only delta over the
+    modeled-link RTT (``requests_per_reconcile * NETWORK_DELAY_MS`` in
+    the denominator); the harsher in-process ratio is reported
+    alongside.
+    """
+    stack = warm_stack()
+    arm = gate.arm(stack)
+    client, deployed = stack.client, stack.deployed
+    requests_per_reconcile = 2 * len(stack.manifests)
+    link_s = requests_per_reconcile * NETWORK_DELAY_MS / 1000.0
+
+    def sample(batch: int) -> float:
+        started = time.perf_counter()
+        for _ in range(batch):
+            responses = client.reconcile(deployed)
+        elapsed = (time.perf_counter() - started) / batch
+        if not all(r.ok for r in responses):
+            raise RuntimeError(f"reconcile failed during the {gate.name} gate")
+        return elapsed
+
+    def sample_on(batch: int) -> float:
+        arm.enter()
+        try:
+            return sample(batch)
+        finally:
+            arm.exit()
+
+    # A background feature must wake ~10 times inside every timed
+    # sample, or the sample can end before it ever ran: size the batch
+    # from its period and the reconcile time measured here.  Against a
+    # busy main thread a wake also waits out the GIL switch interval.
+    wake_s = max(arm.period_s, sys.getswitchinterval()) if arm.period_s else 0.0
+    batch = max(MIN_BATCH, math.ceil(10 * wake_s / sample(MIN_BATCH)))
+    sample_on(1)  # warm the feature's own first-use paths
+
+    def interleave() -> tuple[float, float]:
+        on: list[float] = []
+        off: list[float] = []
+        gc_was_enabled = gc.isenabled()
+        gc.disable()  # collection pauses must not land on one arm only
+        try:
+            for rep in range(repetitions):
+                # Alternate which arm runs first: the slot right after
+                # gc.collect() is systematically slower (cold caches),
+                # and a fixed order books that entirely to one arm --
+                # an A/A comparison shows a ~1.5% phantom overhead.
+                for feature_on in (False, True) if rep % 2 == 0 else (True, False):
+                    if feature_on:
+                        on.append(sample_on(batch))
+                    else:
+                        off.append(sample(batch))
+                gc.collect()
+        finally:
+            if gc_was_enabled:
+                gc.enable()
+        return min(on), min(off)
+
+    activity_before = arm.activity()
+    best_on, best_off = interleave()
+    # A pass that lands close to the limit is a noisy machine state: up
+    # to two more passes deepen the floor search before the number is
+    # final (extra passes can only walk both minima down).
+    for _ in range(2):
+        if 100.0 * (best_on - best_off) / (best_off + link_s) < 0.8 * gate.limit_pct:
+            break
+        again_on, again_off = interleave()
+        best_on, best_off = min(best_on, again_on), min(best_off, again_off)
+    activity = arm.activity() - activity_before
+    if activity <= 0:
+        raise RuntimeError(
+            f"{gate.name} gate: no {arm.unit} inside the measured arm"
+        )
+
+    delta = best_on - best_off
+    return {
+        "gate": gate.name,
+        "operator": stack.chart.name,
+        "transport": "in-process + simulated link",
+        "workload": "sustained reconcile (warm pipeline)",
+        "estimator": "minimum per arm over interleaved samples",
+        "repetitions": repetitions,
+        "batch": batch,
+        "network_delay_ms": NETWORK_DELAY_MS,
+        "requests_per_reconcile": requests_per_reconcile,
+        "reconcile_ms_on": round(best_on * 1000.0, 3),
+        "reconcile_ms_off": round(best_off * 1000.0, 3),
+        "overhead_percent": round(100.0 * delta / (best_off + link_s), 3),
+        "limit_percent": gate.limit_pct,
+        "inprocess_overhead_percent": round(100.0 * delta / best_off, 3),
+        "us_per_request": round(1e6 * delta / requests_per_reconcile, 2),
+        "activity": activity,
+        "activity_unit": arm.unit,
+    }
+
+
+def check_overhead(result: dict[str, Any]) -> tuple[bool, str]:
+    """(ok, message) -- relative RTT increase of the sustained
+    reconcile workload on the modeled link, against the gate's limit."""
+    overhead, limit = result["overhead_percent"], result["limit_percent"]
+    detail = (
+        f"(on: {result['reconcile_ms_on']:.3f} ms, off: "
+        f"{result['reconcile_ms_off']:.3f} ms, minimum of "
+        f"{result['repetitions']} x {result['batch']} reconciles per arm; "
+        f"limit {limit:.0f}%; in-process "
+        f"{result['inprocess_overhead_percent']:+.2f}%, "
+        f"{result['us_per_request']:.1f} us/request; {result['activity']} "
+        f"{result['activity_unit']} inside the measured arm)"
+    )
+    if overhead >= limit:
+        return False, (
+            f"{result['gate']} adds {overhead:.2f}% to reconcile RTT on the "
+            f"modeled link, over the limit {detail}"
+        )
+    return True, (
+        f"{result['gate']} overhead {overhead:+.2f}% of reconcile RTT on the "
+        f"modeled link {detail} -- ok"
+    )
+
+
+def write_results(results: dict[str, dict[str, Any]]) -> None:
+    """Merge ``{gate name: result}`` into :data:`RESULTS_PATH`."""
     from repro.bench import environment_metadata
 
-    # Every BENCH_*.json records where it was measured: numbers from
-    # different machines or Python builds are not comparable baselines.
-    result = {**result, "environment": environment_metadata()}
-    path.parent.mkdir(exist_ok=True)
-    path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    # Every entry records where it was measured: numbers from different
+    # machines or Python builds are not comparable baselines.
+    environment = environment_metadata()
+    merged = json.loads(RESULTS_PATH.read_text()) if RESULTS_PATH.exists() else {}
+    for name, result in results.items():
+        merged[name] = {**result, "environment": environment}
+    RESULTS_PATH.parent.mkdir(exist_ok=True)
+    RESULTS_PATH.write_text(json.dumps(merged, indent=2, sort_keys=True) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
+    names = ["validation", *(gate.name for gate in GATES)]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
+        "gates", nargs="*", metavar="GATE",
+        help=f"gates to run (default: all): {', '.join(names)}",
+    )
+    parser.add_argument(
         "--update-baseline", action="store_true",
-        help="write the measurement to the committed baseline file",
+        help="write the validation measurement to the committed baseline file",
     )
     parser.add_argument(
         "--tolerance", type=float, default=DEFAULT_TOLERANCE,
-        help="allowed relative regression (default 0.20)",
-    )
-    parser.add_argument(
-        "--skip-obs", action="store_true",
-        help="skip the observability-overhead gate (validation gate only)",
-    )
-    parser.add_argument(
-        "--obs-repetitions", type=int, default=30,
-        help="deploy repetitions per arm for the obs-overhead gate",
-    )
-    parser.add_argument(
-        "--skip-analytics", action="store_true",
-        help="skip the analytics-pipeline-overhead gate",
-    )
-    parser.add_argument(
-        "--skip-refine", action="store_true",
-        help="skip the refinement-loop-overhead gate",
-    )
-    parser.add_argument(
-        "--skip-scan", action="store_true",
-        help="skip the CVE-scanner-overhead gate",
-    )
-    parser.add_argument(
-        "--skip-wal", action="store_true",
-        help="skip the WAL-durability-overhead gate",
-    )
-    parser.add_argument(
-        "--skip-profile", action="store_true",
-        help="skip the continuous-profiler-overhead gate",
+        help="allowed relative regression of the validation speedup (default 0.20)",
     )
     args = parser.parse_args(argv)
+    unknown = sorted(set(args.gates) - set(names))
+    if unknown:
+        parser.error(f"unknown gate(s) {unknown}; choose from {names}")
+    selected = args.gates or names
 
-    validator, manifest = reference_workload()
-    result = measure_validation(validator, manifest)
-    write_results(result)
-    print(json.dumps(result, indent=2, sort_keys=True))
+    results: dict[str, dict[str, Any]] = {}
+    verdicts: list[tuple[bool, str]] = []
+    if args.update_baseline or "validation" in selected:
+        result = results["validation"] = measure_validation(*reference_workload())
+        if args.update_baseline:
+            BASELINE_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+            print(f"baseline updated: {BASELINE_PATH}")
+            return 0
+        verdicts.append(check_regression(result, load_baseline(), args.tolerance))
+    for gate in GATES:
+        if gate.name in selected:
+            result = results[gate.name] = measure(gate)
+            verdicts.append(check_overhead(result))
+    write_results(results)
+    print(json.dumps(results, indent=2, sort_keys=True))
     print(f"wrote {RESULTS_PATH}")
-
-    if args.update_baseline:
-        BASELINE_PATH.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-        print(f"baseline updated: {BASELINE_PATH}")
-        return 0
-
-    ok, message = check_regression(result, load_baseline(), args.tolerance)
-    print(message)
-
-    obs_ok = True
-    if not args.skip_obs:
-        obs_result = measure_observability_overhead(args.obs_repetitions)
-        write_results(obs_result, OBS_RESULTS_PATH)
-        print(json.dumps(obs_result, indent=2, sort_keys=True))
-        print(f"wrote {OBS_RESULTS_PATH}")
-        obs_ok, obs_message = check_obs_overhead(obs_result)
-        print(obs_message)
-
-    analytics_ok = True
-    if not args.skip_analytics:
-        analytics_result = measure_analytics_overhead(args.obs_repetitions)
-        write_results(analytics_result, ANALYTICS_RESULTS_PATH)
-        print(json.dumps(analytics_result, indent=2, sort_keys=True))
-        print(f"wrote {ANALYTICS_RESULTS_PATH}")
-        analytics_ok, analytics_message = check_analytics_overhead(
-            analytics_result
-        )
-        print(analytics_message)
-
-    refine_ok = True
-    if not args.skip_refine:
-        refine_result = measure_refine_overhead(args.obs_repetitions)
-        write_results(refine_result, REFINE_RESULTS_PATH)
-        print(json.dumps(refine_result, indent=2, sort_keys=True))
-        print(f"wrote {REFINE_RESULTS_PATH}")
-        refine_ok, refine_message = check_refine_overhead(refine_result)
-        print(refine_message)
-
-    scan_ok = True
-    if not args.skip_scan:
-        scan_result = measure_scan_overhead(args.obs_repetitions)
-        write_results(scan_result, SCAN_RESULTS_PATH)
-        print(json.dumps(scan_result, indent=2, sort_keys=True))
-        print(f"wrote {SCAN_RESULTS_PATH}")
-        scan_ok, scan_message = check_scan_overhead(scan_result)
-        print(scan_message)
-
-    wal_ok = True
-    if not args.skip_wal:
-        wal_result = measure_wal_overhead(args.obs_repetitions)
-        write_results(wal_result, WAL_RESULTS_PATH)
-        print(json.dumps(wal_result, indent=2, sort_keys=True))
-        print(f"wrote {WAL_RESULTS_PATH}")
-        wal_ok, wal_message = check_wal_overhead(wal_result)
-        print(wal_message)
-
-    profile_ok = True
-    if not args.skip_profile:
-        profile_result = measure_profile_overhead(args.obs_repetitions)
-        write_results(profile_result, PROFILE_RESULTS_PATH)
-        print(json.dumps(profile_result, indent=2, sort_keys=True))
-        print(f"wrote {PROFILE_RESULTS_PATH}")
-        profile_ok, profile_message = check_profile_overhead(profile_result)
-        print(profile_message)
-
-    return 0 if (
-        ok and obs_ok and analytics_ok and refine_ok and scan_ok and wal_ok
-        and profile_ok
-    ) else 1
+    for _, message in verdicts:
+        print(message)
+    return 0 if all(ok for ok, _ in verdicts) else 1
 
 
 if __name__ == "__main__":

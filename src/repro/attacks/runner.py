@@ -45,7 +45,7 @@ from repro.core.proxy import KubeFenceProxy
 from repro.helm.chart import Chart, render_chart
 from repro.k8s.apiserver import Cluster
 from repro.k8s.vulndb import ExploitEngine
-from repro.obs.analytics.events import SecurityEvent, new_event_bus
+from repro.obs.analytics.events import EventBus, SecurityEvent
 from repro.operators.client import DirectTransport, OperatorClient
 from repro.rbac import RBACAuthorizer, infer_policy
 
@@ -181,7 +181,7 @@ def run_campaign(
     # ---- KubeFence ------------------------------------------------------
     validator = validator or generate_policy(chart)
     result.validator = validator
-    bus = event_bus if event_bus is not None else new_event_bus()
+    bus = event_bus if event_bus is not None else EventBus()
     kf_cluster = Cluster(event_bus=bus)
     kf_engine = ExploitEngine()
     kf_cluster.api.register_admission_plugin(kf_engine)

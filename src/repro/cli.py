@@ -211,13 +211,9 @@ def cmd_obs(args: argparse.Namespace) -> int:
     from repro.core.proxy import KubeFenceProxy
     from repro.helm.chart import render_chart
     from repro.k8s.apiserver import ApiRequest, Cluster, User
-    from repro.obs import TRACES, obs_enabled
+    from repro.obs import TRACES
     from repro.operators.client import OperatorClient
     from repro.yamlutil import deep_copy, set_path
-
-    if not obs_enabled():
-        print("observability is disabled (REPRO_NO_OBS is set)", file=sys.stderr)
-        return 1
 
     chart = _load_chart(args.operator or "nginx")
     validator = generate_policy(chart)

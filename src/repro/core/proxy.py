@@ -29,7 +29,7 @@ Observability: every request runs under a :mod:`repro.obs` trace
 :class:`~repro.obs.MetricsRegistry` -- the HTTP proxy serves it at
 ``GET /metrics`` in Prometheus text format.  Denials are labeled by
 ``operator``/``kind``/``reason`` so Table III mitigation runs can be
-read straight off a scrape.  ``REPRO_NO_OBS=1`` disables the layer.
+read straight off a scrape.
 
 Resilience: the upstream hop runs under the :mod:`repro.resilience`
 guard -- retry with decorrelated-jitter backoff, a per-request
@@ -65,13 +65,13 @@ from repro.k8s.http import (
     rest_verb,
 )
 from repro.obs import (
+    PhaseClock,
     current_trace_id,
-    new_phase_clock,
     new_registry,
     span,
     trace,
 )
-from repro.obs.analytics.events import SecurityEvent, new_event_bus
+from repro.obs.analytics.events import EventBus, SecurityEvent
 from repro.obs.analytics.slo import SloEngine
 from repro.obs.refine.profiler import manifest_field_sample
 from repro.yamlutil import deep_copy
@@ -245,9 +245,8 @@ class ProxyStats:
         self._http_bound: dict[tuple[str, str], Any] = {}
         self._denial_bound: dict[tuple[str, str, str], Any] = {}
         # Per-request phase attribution (kubefence_phase_ns_total):
-        # a bound-``inc`` per phase, the null clock when telemetry is
-        # off (phases.enabled gates any extra clock reads).
-        self.phases = new_phase_clock(reg)
+        # a bound-``inc`` per phase.
+        self.phases = PhaseClock(reg)
         #: per-request validation latency samples (ns), bounded rings:
         #: full validations (cache misses) and cache-hit lookups.
         self.validation_ns_samples: list[int] = []
@@ -375,11 +374,8 @@ class ProxyStats:
 
     @property
     def degraded_total(self) -> int:
-        snapshot_into = getattr(self._degraded, "snapshot_into", None)
-        if snapshot_into is None:  # REPRO_NO_OBS null instrument
-            return 0
         snapshot: dict[str, float] = {}
-        snapshot_into(snapshot)
+        self._degraded.snapshot_into(snapshot)
         return int(sum(snapshot.values()))
 
     @property
@@ -622,9 +618,9 @@ class KubeFenceProxy:
         self.stats = ProxyStats()
         self.gate = ValidationGate(validator, self.stats, cache_size)
         self.resilience = resilience
-        #: security-analytics stream; NULL under REPRO_NO_OBS=1 (the
-        #: ``enabled`` probe keeps event construction off the fast path).
-        self.events = event_bus if event_bus is not None else new_event_bus()
+        #: security-analytics stream (a null bus's ``enabled`` probe
+        #: keeps event construction off the fast path).
+        self.events = event_bus if event_bus is not None else EventBus()
         #: shadow-mode canary evaluator (a RefineController installs
         #: one via start_shadow); never affects served decisions.
         self.shadow: Any | None = None
@@ -736,9 +732,7 @@ class KubeFenceProxy:
             latency_ns=now - started,
             detail=detail,
         ))
-        phases = self.stats.phases
-        if phases.enabled:
-            phases.telemetry(time.perf_counter_ns() - now)
+        self.stats.phases.telemetry(time.perf_counter_ns() - now)
 
     def _forward(self, request: ApiRequest) -> ApiResponse:
         """The upstream hop, guarded when resilience is configured.
@@ -752,8 +746,7 @@ class KubeFenceProxy:
         if guard is None:
             return self.api.handle(request)
         assert self.resilience is not None
-        phases = self.stats.phases
-        sent = time.perf_counter_ns() if phases.enabled else 0
+        sent = time.perf_counter_ns()
         request.deadline = deadline = self.resilience.deadline()
         replay_safe = self._replay_safe
         try:
@@ -776,8 +769,7 @@ class KubeFenceProxy:
                 self._read_cache.put(
                     self._stale_key(request), deep_copy(response.body)
                 )
-        if sent:
-            phases.upstream(time.perf_counter_ns() - sent)
+        self.stats.phases.upstream(time.perf_counter_ns() - sent)
         return response
 
     def _stale_key(self, request: ApiRequest) -> str:
@@ -929,8 +921,7 @@ class _ProxyHandler(JsonRequestHandler):
         if read is None:
             return
         raw, body = read
-        phases = self.phases
-        mark = time.perf_counter_ns() if phases.enabled else 0
+        mark = time.perf_counter_ns()
         try:
             kind, namespace, name = parse_rest_path(self.path, default_registry)
         except (ValueError, KeyError):
@@ -953,10 +944,9 @@ class _ProxyHandler(JsonRequestHandler):
             raw=raw or None,
             trace_id=self.headers.get("X-Trace-Id") or None,
         )
-        if mark:
-            # The proxy's authn share: routing the path and extracting
-            # the caller identity it re-asserts upstream.
-            phases.authn(time.perf_counter_ns() - mark)
+        # The proxy's authn share: routing the path and extracting
+        # the caller identity it re-asserts upstream.
+        self.phases.authn(time.perf_counter_ns() - mark)
         response = self.service.submit(request)
         degraded = response.degraded
         self.reply(
@@ -1028,7 +1018,7 @@ class MultiPolicyProxy:
         self.resilience = resilience
         #: one shared stream across all per-identity proxies, so the
         #: forensics layer sees the whole multi-tenant cluster.
-        self.events = event_bus if event_bus is not None else new_event_bus()
+        self.events = event_bus if event_bus is not None else EventBus()
         self._proxies = {
             username: KubeFenceProxy(
                 api, validator, resilience=resilience, event_bus=self.events

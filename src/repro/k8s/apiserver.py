@@ -31,8 +31,8 @@ from repro.k8s.gvk import ResourceRegistry, ResourceType, registry as default_re
 from repro.k8s.objects import K8sObject
 from repro.k8s.schema import SCALAR_TYPES, FieldSpec, SchemaCatalog, catalog as default_catalog
 from repro.k8s.store import ObjectStore
-from repro.obs import current_trace_id, new_phase_clock, new_registry, span
-from repro.obs.analytics.events import SecurityEvent, new_event_bus
+from repro.obs import PhaseClock, current_trace_id, new_registry, span
+from repro.obs.analytics.events import EventBus, SecurityEvent
 
 
 @dataclass(frozen=True)
@@ -162,12 +162,11 @@ class APIServer:
         self.version = version
         self.validate_schema = validate_schema
         #: observability: per-server metrics registry (scraped by
-        #: HttpApiServer's /metrics; REPRO_NO_OBS=1 makes it a no-op).
+        #: HttpApiServer's /metrics).
         self.metrics = metrics if metrics is not None else new_registry()
         #: security-analytics: every audited request is also published
-        #: as a ``kind="audit"`` SecurityEvent (no-op bus when
-        #: REPRO_NO_OBS=1 or nothing subscribes a real bus).
-        self.event_bus = event_bus if event_bus is not None else new_event_bus()
+        #: as a ``kind="audit"`` SecurityEvent.
+        self.event_bus = event_bus if event_bus is not None else EventBus()
         # Durability + watch observability land on this server's
         # registry (kubefence_wal_appends_total, kubefence_recovery_*,
         # kubefence_watcher_errors_total) so /metrics exposes them.
@@ -198,10 +197,8 @@ class APIServer:
             max_series=128,
         )
         self._m_http_bound: dict[tuple[str, str], Any] = {}
-        # Per-request phase attribution (kubefence_phase_ns_total):
-        # the null clock when telemetry is off, so handle() skips the
-        # extra perf_counter_ns reads entirely.
-        self.phases = new_phase_clock(self.metrics)
+        # Per-request phase attribution (kubefence_phase_ns_total).
+        self.phases = PhaseClock(self.metrics)
 
     def _announce_recovery(self) -> None:
         """Publish one ``kind="recovery"`` SecurityEvent when fronting a
@@ -252,7 +249,7 @@ class APIServer:
     def handle(self, request: ApiRequest) -> ApiResponse:
         """Run the full request pipeline and audit the outcome.
 
-        Phase attribution (when telemetry is on): routing+authorization
+        Phase attribution: routing+authorization
         is the server's **authn** share, dispatch (admission chain and
         store commit) its **upstream** share, and the request counter /
         latency histogram / audit write its **telemetry** share.  The
@@ -261,17 +258,15 @@ class APIServer:
         serialization share -- body parse and reply encode happen
         outside this method.
         """
-        attributed = self.phases.enabled
         started = time.perf_counter_ns()
         authed = started
         try:
             resource = self._route(request)
             self._authorize(request, resource)
-            if attributed:
-                authed = time.perf_counter_ns()
+            authed = time.perf_counter_ns()
             response = self._dispatch(request, resource)
         except ApiError as err:
-            if authed == started and attributed:
+            if authed == started:
                 # Failed before/inside authorization: the whole pipeline
                 # share so far is authn.
                 authed = time.perf_counter_ns()
@@ -285,17 +280,16 @@ class APIServer:
         bound.inc()
         self._m_latency.observe(elapsed_ns)
         self._audit(request, response, latency_ns=elapsed_ns)
-        if attributed:
-            done = started + elapsed_ns
-            final = time.perf_counter_ns()
-            phases = self.phases
-            phases.authn(authed - started)
-            phases.upstream(done - authed)
-            phases.telemetry(final - done)
-            # The HTTP frontend brackets this call together with the
-            # trace open/close; exporting the interior span lets it
-            # attribute the tracer bookkeeping without double-counting.
-            response.handle_ns = final - started
+        done = started + elapsed_ns
+        final = time.perf_counter_ns()
+        phases = self.phases
+        phases.authn(authed - started)
+        phases.upstream(done - authed)
+        phases.telemetry(final - done)
+        # The HTTP frontend brackets this call together with the
+        # trace open/close; exporting the interior span lets it
+        # attribute the tracer bookkeeping without double-counting.
+        response.handle_ns = final - started
         return response
 
     def _route(self, request: ApiRequest) -> ResourceType:

@@ -288,11 +288,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     def reply(self, code: int, payload: Any,
               headers: tuple[tuple[str, str], ...] = ()) -> None:
         """Encode *payload* as the JSON reply (serialization phase)."""
-        phases = self.phases
-        started = time.perf_counter_ns() if phases.enabled else 0
+        started = time.perf_counter_ns()
         self.write_reply(code, json.dumps(payload).encode(), headers=headers)
-        if started:
-            phases.serialization(time.perf_counter_ns() - started)
+        self.phases.serialization(time.perf_counter_ns() - started)
 
     def _read_body(self) -> bytes | None:
         """The request body (``b""`` when there is none), or ``None``
@@ -330,8 +328,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         locally.  The read is drained before any other reply: with
         keep-alive, unread body bytes would corrupt the next request.
         Drain and parse are the request's deserialization share."""
-        phases = self.phases
-        started = time.perf_counter_ns() if phases.enabled else 0
+        started = time.perf_counter_ns()
         raw = self._read_body()
         if not raw:
             return None if raw is None else (raw, None)
@@ -345,8 +342,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
                 else "request body must be a JSON object"
             ).to_status())
             return None
-        if started:
-            phases.serialization(time.perf_counter_ns() - started)
+        self.phases.serialization(time.perf_counter_ns() - started)
         return raw, body
 
     def _serve_obs(self, head: bool = False) -> bool:
@@ -373,13 +369,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         # Wall-clock denominator for the phase breakdown
         # (kubefence_request_wall_ns_total): stamped here, at HTTP
         # ingress, so every phase share recorded below is inside it.
-        phases = self.phases
-        if not phases.enabled:
-            self.handle_api()
-            return
         wall_started = time.perf_counter_ns()
         self.handle_api()
-        phases.wall(time.perf_counter_ns() - wall_started)
+        self.phases.wall(time.perf_counter_ns() - wall_started)
 
     def do_GET(self) -> None:
         if not self._serve_obs():
@@ -420,7 +412,7 @@ class _Handler(JsonRequestHandler):
         # construction with identity extraction) is attributed to authn
         # so the coverage denominator holds >=90% on validated writes.
         phases = self.phases
-        mark = time.perf_counter_ns() if phases.enabled else 0
+        mark = time.perf_counter_ns()
 
         # Wire-level chaos: the injector may 5xx, stall, truncate, or
         # RST this request.  It runs after the body drain (keep-alive
@@ -447,25 +439,21 @@ class _Handler(JsonRequestHandler):
             body=read[1],
             source_ip=self.client_address[0],
         )
-        if mark:
-            now = time.perf_counter_ns()
-            phases.authn(now - mark)
-            mark = now
+        now = time.perf_counter_ns()
+        phases.authn(now - mark)
         # Join the caller's trace when the KubeFence proxy forwarded an
         # X-Trace-Id, so the audit event correlates with the proxy-side
         # trace; otherwise open a fresh server-side trace.
         incoming = self.headers.get("X-Trace-Id") or None
         with trace("apiserver.request", trace_id=incoming):
             response = self.api.handle(request)
-        if mark:
-            # Everything in this bracket outside handle()'s own span is
-            # tracer bookkeeping (trace open, span record under the
-            # buffer lock) -- telemetry, and the largest unstamped gap
-            # on the server path when a scrape holds that lock.
-            phases.telemetry(
-                time.perf_counter_ns() - mark
-                - getattr(response, "handle_ns", 0)
-            )
+        # Everything in this bracket outside handle()'s own span is
+        # tracer bookkeeping (trace open, span record under the
+        # buffer lock) -- telemetry, and the largest unstamped gap
+        # on the server path when a scrape holds that lock.
+        phases.telemetry(
+            time.perf_counter_ns() - now - getattr(response, "handle_ns", 0)
+        )
         self.reply(response.code, response.body if response.body is not None else {})
         # Commit point 3: write_reply() has put the response bytes for
         # a successful write on the socket (wfile is unbuffered) -- the

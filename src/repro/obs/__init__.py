@@ -6,8 +6,7 @@ stack (proxy -> validator engine -> API server) so the paper's
 evaluation quantities -- where latency goes (Table IV), which requests
 are denied and why (Table III), what the audit trail records
 (Fig. 11) -- can be read off a Prometheus scrape instead of ad-hoc
-counters.  ``REPRO_NO_OBS=1`` disables the layer entirely (the
-baseline arm of the observability-overhead benchmark).
+counters.
 """
 
 from repro.obs.metrics import (
@@ -19,12 +18,9 @@ from repro.obs.metrics import (
     MAX_LABEL_SETS,
     MetricError,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
     REGISTRY,
     delta,
     new_registry,
-    obs_enabled,
 )
 from repro.obs.http import (
     METRICS_CONTENT_TYPE,
@@ -32,13 +28,11 @@ from repro.obs.http import (
     obs_endpoint,
 )
 from repro.obs.profile import (
-    NULL_PHASE_CLOCK,
     PHASES,
     PROFILER,
     PhaseClock,
     SamplingProfiler,
     TimeSeriesRing,
-    new_phase_clock,
     phase_totals,
 )
 from repro.obs.tracing import (
@@ -62,9 +56,6 @@ __all__ = [
     "METRICS_CONTENT_TYPE",
     "MetricError",
     "MetricsRegistry",
-    "NULL_PHASE_CLOCK",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "OPENMETRICS_CONTENT_TYPE",
     "PHASES",
     "PROFILER",
@@ -78,12 +69,10 @@ __all__ = [
     "TraceBuffer",
     "current_trace_id",
     "delta",
-    "new_phase_clock",
     "new_registry",
     "new_trace_id",
     "obs_endpoint",
     "phase_totals",
-    "obs_enabled",
     "span",
     "trace",
 ]

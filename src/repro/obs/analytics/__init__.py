@@ -16,10 +16,6 @@ this package turns the audit/decision stream into *answers*:
   reconstruction that stitches audit events + denials + anomaly
   scores into attack timelines (first-touch, blast radius, denial
   point, related trace ids), keyed by the Table III campaign.
-
-``REPRO_NO_OBS=1`` collapses the whole pipeline into no-ops:
-:func:`new_event_bus` returns the shared :data:`NULL_EVENT_BUS`, whose
-``enabled`` flag lets publishers skip event construction entirely.
 """
 
 from repro.obs.analytics.events import (
@@ -33,7 +29,6 @@ from repro.obs.analytics.events import (
     dump_jsonl,
     events_from_audit_log,
     load_jsonl,
-    new_event_bus,
 )
 from repro.obs.analytics.forensics import (
     AttackTimeline,
@@ -70,6 +65,5 @@ __all__ = [
     "dump_jsonl",
     "events_from_audit_log",
     "load_jsonl",
-    "new_event_bus",
     "render_forensics_report",
 ]

@@ -19,9 +19,10 @@ three producers:
 Events flow through a bounded, thread-safe :class:`EventBus`: a ring
 buffer (query surface for ``/obs/events`` and the CLI) plus a
 subscriber list (the SLO engine, the forensics engine, JSONL sinks).
-``REPRO_NO_OBS=1`` swaps the bus for :data:`NULL_EVENT_BUS`; its
+:data:`NULL_EVENT_BUS` is the default of components that only publish
+when handed a bus (:class:`~repro.obs.refine.ShadowEvaluator`); its
 ``enabled`` flag is ``False`` so publishers skip even constructing the
-event -- the analytics-overhead benchmark's baseline arm.
+event.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Any, Callable, Iterable, Mapping
-
-from repro.obs.metrics import obs_enabled
 
 __all__ = [
     "EVENT_KINDS",
@@ -48,7 +47,6 @@ __all__ = [
     "dump_jsonl",
     "events_from_audit_log",
     "load_jsonl",
-    "new_event_bus",
 ]
 
 #: Version stamped into every serialized event (consumers must be able
@@ -311,8 +309,8 @@ class EventBus:
 
 
 class NullEventBus:
-    """The ``REPRO_NO_OBS=1`` stand-in: publishing is a no-op and the
-    ``enabled`` probe lets hot paths skip event construction."""
+    """The no-bus stand-in: publishing is a no-op and the ``enabled``
+    probe lets hot paths skip event construction."""
 
     enabled = False
     published = 0
@@ -346,15 +344,6 @@ class NullEventBus:
 
 
 NULL_EVENT_BUS = NullEventBus()
-
-
-def new_event_bus(
-    maxlen: int = 4096, sample_every: int | None = None
-) -> "EventBus | NullEventBus":
-    """A fresh bus, or the shared null when telemetry is off."""
-    if not obs_enabled():
-        return NULL_EVENT_BUS
-    return EventBus(maxlen=maxlen, sample_every=sample_every)
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,11 @@ Design points:
 - **Windowed reads.**  ``snapshot()`` returns a flat
   ``{series: value}`` dict and :func:`delta` diffs two snapshots, so
   benchmarks can measure a window instead of absolute counters.
-- **Escape hatch.**  ``REPRO_NO_OBS=1`` disables the layer: registries
-  become no-op nulls, which the observability-overhead benchmark uses
-  as its baseline arm.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 import re
 import threading
 import time
@@ -52,16 +48,10 @@ __all__ = [
     "MAX_LABEL_SETS",
     "MetricError",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "delta",
     "new_registry",
-    "obs_enabled",
     "set_exemplar_trace_provider",
 ]
-
-#: Environment variable disabling the observability layer entirely.
-OBS_ENV = "REPRO_NO_OBS"
 
 #: Per-metric cap on distinct label-value combinations.
 MAX_LABEL_SETS = 64
@@ -97,27 +87,6 @@ def set_exemplar_trace_provider(provider: Callable[[], "str | None"]) -> None:
     capture); called by :mod:`repro.obs.tracing` at import."""
     global _TRACE_PROVIDER
     _TRACE_PROVIDER = provider
-
-
-# ``os.environ.get`` costs ~1us per call (Mapping.get -> __getitem__ ->
-# decode); the underlying ``_data`` dict probe is ~30ns.  obs_enabled()
-# sits on the per-request path (one trace per request), so the fast
-# probe matters; writes through ``os.environ[...]``/``.pop`` keep
-# ``_data`` in sync, which is how the escape hatch is toggled.
-try:
-    _ENV_DATA: Any = os.environ._data  # type: ignore[attr-defined]
-    _OBS_KEY: Any = os.environ.encodekey(OBS_ENV)  # type: ignore[attr-defined]
-except AttributeError:  # pragma: no cover - non-CPython fallback
-    _ENV_DATA = None
-    _OBS_KEY = OBS_ENV
-
-
-def obs_enabled() -> bool:
-    """Whether telemetry is recorded (default on; ``REPRO_NO_OBS=1``
-    is the escape hatch)."""
-    if _ENV_DATA is not None:
-        return not _ENV_DATA.get(_OBS_KEY)
-    return not os.environ.get(OBS_ENV)
 
 
 class MetricError(ValueError):
@@ -889,75 +858,10 @@ def delta(before: dict[str, float], after: dict[str, float]) -> dict[str, float]
     return {key: value - before.get(key, 0.0) for key, value in after.items()}
 
 
-# ---------------------------------------------------------------------------
-# Null objects: the REPRO_NO_OBS=1 fast path.
-# ---------------------------------------------------------------------------
-
-
-class _NullInstrument:
-    """Accepts the full instrument API and records nothing."""
-
-    def labels(self, **_labels: str) -> "_NullInstrument":
-        return self
-
-    def local(self, **_labels: str) -> "_NullInstrument":
-        return self
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    value = 0.0
-    sum = 0.0
-    count = 0.0
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """Registry stand-in when ``REPRO_NO_OBS=1``: every instrument is
-    a shared no-op and exposition is empty."""
-
-    def counter(self, *args: Any, **kwargs: Any) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    gauge = counter
-    histogram = counter
-
-    def collect(self) -> list[Any]:
-        return []
-
-    def expose(self, openmetrics: bool = False) -> str:
-        return "# EOF\n" if openmetrics else ""
-
-    def snapshot(self) -> dict[str, float]:
-        return {}
-
-    def reset(self) -> None:
-        pass
-
-    def merge_from(self, other: Any) -> None:
-        pass
-
-
-NULL_REGISTRY = NullRegistry()
-
 #: Process-global default registry (ad-hoc instrumentation, CLI dumps).
 REGISTRY = MetricsRegistry()
 
 
-def new_registry() -> "MetricsRegistry | NullRegistry":
-    """A fresh registry, or the shared null when telemetry is off."""
-    return MetricsRegistry() if obs_enabled() else NULL_REGISTRY
+def new_registry() -> MetricsRegistry:
+    """A fresh registry (the name ``benchmarks/e2e`` imports)."""
+    return MetricsRegistry()

@@ -16,12 +16,10 @@ same way the analytics layer closed the security one:
 """
 
 from repro.obs.profile.phases import (
-    NULL_PHASE_CLOCK,
     PHASES,
     PHASE_METRIC,
     PhaseClock,
     WALL_METRIC,
-    new_phase_clock,
     phase_totals,
 )
 from repro.obs.profile.sampler import (
@@ -43,7 +41,6 @@ __all__ = [
     "DEFAULT_PROFILE_HZ",
     "DEFAULT_TS_INTERVAL_S",
     "DEFAULT_TS_RETENTION",
-    "NULL_PHASE_CLOCK",
     "PHASES",
     "PHASE_METRIC",
     "PROFILER",
@@ -54,7 +51,6 @@ __all__ = [
     "TS_RETENTION_ENV",
     "TimeSeriesRing",
     "WALL_METRIC",
-    "new_phase_clock",
     "phase_totals",
     "profile_hz",
 ]

@@ -27,25 +27,18 @@ validated write.
 
 Cost model: each phase attribute *is* the bound write handle's ``inc``
 (per-thread lock-free cells, :meth:`_Metric.local`), so a phase stamp
-is one attribute load plus one GIL-atomic float add.  Under
-``REPRO_NO_OBS=1`` :func:`new_phase_clock` returns the shared
-:data:`NULL_PHASE_CLOCK`: no metric, no cells, and ``enabled=False``
-lets hot paths skip their ``perf_counter_ns`` reads entirely.
+is one attribute load plus one GIL-atomic float add.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry, obs_enabled
-
 __all__ = [
-    "NULL_PHASE_CLOCK",
     "PHASES",
     "PHASE_METRIC",
     "PhaseClock",
     "WALL_METRIC",
-    "new_phase_clock",
     "phase_totals",
 ]
 
@@ -74,30 +67,6 @@ _WALL_HELP = (
 )
 
 
-def _noop(_amount: float = 1.0) -> None:
-    pass
-
-
-class NullPhaseClock:
-    """Shared do-nothing clock: what ``REPRO_NO_OBS=1`` hot paths hold.
-
-    Allocates no metric series and no per-thread cells; ``enabled`` is
-    False so instrumented paths skip their clock reads.
-    """
-
-    enabled = False
-    authn = staticmethod(_noop)
-    cache_probe = staticmethod(_noop)
-    validation = staticmethod(_noop)
-    upstream = staticmethod(_noop)
-    telemetry = staticmethod(_noop)
-    serialization = staticmethod(_noop)
-    wall = staticmethod(_noop)
-
-
-NULL_PHASE_CLOCK = NullPhaseClock()
-
-
 class PhaseClock:
     """Pre-bound phase write handles over one registry.
 
@@ -107,12 +76,11 @@ class PhaseClock:
     """
 
     __slots__ = (
-        "enabled", "authn", "cache_probe", "validation", "upstream",
+        "authn", "cache_probe", "validation", "upstream",
         "telemetry", "serialization", "wall",
     )
 
     def __init__(self, registry: Any):
-        self.enabled = True
         counter = registry.counter(PHASE_METRIC, _PHASE_HELP, labels=("phase",))
         self.authn = counter.local(phase="authn").inc
         self.cache_probe = counter.local(phase="cache-probe").inc
@@ -121,17 +89,6 @@ class PhaseClock:
         self.telemetry = counter.local(phase="telemetry").inc
         self.serialization = counter.local(phase="serialization").inc
         self.wall = registry.counter(WALL_METRIC, _WALL_HELP).local().inc
-
-
-def new_phase_clock(registry: Any) -> Any:
-    """A :class:`PhaseClock` over *registry*, or the shared
-    :data:`NULL_PHASE_CLOCK` when telemetry is off (``REPRO_NO_OBS=1``
-    or a null registry) -- the null path allocates nothing."""
-    if registry is None or not obs_enabled():
-        return NULL_PHASE_CLOCK
-    if not isinstance(registry, MetricsRegistry):
-        return NULL_PHASE_CLOCK
-    return PhaseClock(registry)
 
 
 def phase_totals(registry: Any) -> dict[str, float]:

@@ -21,8 +21,8 @@ Design points:
   of growing memory under pathological stack diversity.
 - **Zero instrumentation cost.**  Nothing runs on the request path;
   the only cost is the sampler thread waking ``hz`` times per second
-  and walking ~N thread stacks, which is what the
-  ``BENCH_profile_overhead.json`` gate bounds at <5%.
+  and walking ~N thread stacks, which is what the ``profile`` gate
+  of ``benchmarks/compare_bench.py`` bounds at <5%.
 - **Refcounted lifetime.**  Each HTTP component ``acquire()``\\ s the
   process-global :data:`PROFILER` on start and ``release()``\\ s it on
   stop, so the sampler runs exactly while something is serving and the
@@ -37,7 +37,6 @@ import threading
 import time
 from typing import Any
 
-from repro.obs.metrics import obs_enabled
 
 __all__ = [
     "DEFAULT_PROFILE_HZ",
@@ -113,10 +112,7 @@ class SamplingProfiler:
 
     def start(self) -> bool:
         """Start the sampler thread; ``False`` when disabled
-        (``REPRO_PROFILE_HZ=0`` or ``REPRO_NO_OBS=1``) or already
-        running.  Idempotent."""
-        if not obs_enabled():
-            return False
+        (``REPRO_PROFILE_HZ=0``).  Idempotent."""
         hz = self._hz_override if self._hz_override is not None else profile_hz()
         if hz <= 0:
             return False

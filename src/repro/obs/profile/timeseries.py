@@ -26,7 +26,7 @@ import time
 from collections import deque
 from typing import Any
 
-from repro.obs.metrics import Gauge, MetricsRegistry, obs_enabled
+from repro.obs.metrics import Gauge
 
 __all__ = [
     "DEFAULT_TS_INTERVAL_S",
@@ -88,21 +88,17 @@ class TimeSeriesRing:
     def running(self) -> bool:
         return self._thread is not None
 
-    def start(self) -> bool:
-        """Start the ticker thread; ``False`` when telemetry is off or
-        the registry is a null (nothing to snapshot).  Idempotent."""
-        if not obs_enabled() or not isinstance(self.registry, MetricsRegistry):
-            return False
+    def start(self) -> None:
+        """Start the ticker thread.  Idempotent."""
         with self._lock:
             if self._thread is not None:
-                return True
+                return
             self._stop.clear()
             thread = threading.Thread(
                 target=self._run, name="repro-timeseries", daemon=True
             )
             self._thread = thread
         thread.start()
-        return True
 
     def stop(self) -> None:
         with self._lock:

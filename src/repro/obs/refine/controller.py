@@ -99,8 +99,8 @@ class RefineController:
         Field observation pauses while the canary runs: the profiling
         phase already fed the candidate, and the canary's question is
         divergence, not usage -- keeping the phases exclusive keeps
-        the hot-path cost of *each* phase separately bounded (see the
-        ``bench_refine`` gate).  Observation resumes at
+        the hot-path cost of *each* phase separately bounded (the
+        ``refine_*`` gates).  Observation resumes at
         :meth:`stop_shadow` / :meth:`promote`.
         """
         with self._lock:

@@ -16,7 +16,6 @@ worker sees its own active trace.
 Finished traces land in a bounded ring buffer
 (:data:`TRACES`) exportable as JSON -- the source for the
 ``repro obs`` CLI snapshot and the ``/obs/traces`` debug endpoint.
-With ``REPRO_NO_OBS=1`` the whole layer is a no-op.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from collections import deque
 from contextvars import ContextVar
 from typing import Any
 
-from repro.obs.metrics import obs_enabled, set_exemplar_trace_provider
+from repro.obs.metrics import set_exemplar_trace_provider
 
 __all__ = [
     "Span",
@@ -51,8 +50,10 @@ __all__ = [
 #: always kept, so sampled traces stay complete).
 TRACE_SAMPLE_ENV = "REPRO_TRACE_SAMPLE"
 
-# Same fast-probe pattern as metrics.obs_enabled(): the gate runs once
-# per request, so the ~1us os.environ.get is worth skipping.
+# ``os.environ.get`` costs ~1us per call (Mapping.get -> __getitem__ ->
+# decode); the underlying ``_data`` dict probe is ~30ns.  The gate runs
+# once per request, so the fast probe matters; writes through
+# ``os.environ[...]``/``.pop`` keep ``_data`` in sync.
 try:
     _ENV_DATA: Any = os.environ._data  # type: ignore[attr-defined]
     _SAMPLE_KEY: Any = os.environ.encodekey(TRACE_SAMPLE_ENV)  # type: ignore[attr-defined]
@@ -322,14 +323,12 @@ def trace(name: str, trace_id: str | None = None,
     API server running under the proxy's trace -- the block becomes a
     nested span instead of a second trace, preserving one id per
     request end-to-end (and inheriting the root's sampling decision, so
-    sampled traces stay complete).  With ``REPRO_NO_OBS=1``, or when
-    the 1-in-N draw (``REPRO_TRACE_SAMPLE``) skips this request, the
-    block is a shared no-op yielding ``None`` -- the decision is made
+    sampled traces stay complete).  When the 1-in-N draw
+    (``REPRO_TRACE_SAMPLE``) skips this request, the block is a
+    shared no-op yielding ``None`` -- the decision is made
     *here*, before any Trace/Span allocation, which is what keeps the
     unsampled hot path nearly free.
     """
-    if not obs_enabled():
-        return _NOOP
     active = _ACTIVE.get()
     if active is not None:
         return _JoinedTrace(active, name)

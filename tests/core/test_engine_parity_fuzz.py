@@ -127,8 +127,6 @@ def _gate(validator: Validator) -> ValidationGate:
 
 
 def test_cache_serves_hits_within_one_revision(nginx_validator, nginx_deployment):
-    from repro.obs import obs_enabled
-
     gate = _gate(nginx_validator)
     first = gate.check(nginx_deployment)
     assert first.allowed
@@ -136,8 +134,7 @@ def test_cache_serves_hits_within_one_revision(nginx_validator, nginx_deployment
     second = gate.check(nginx_deployment)
     assert second.allowed
     assert second is first  # the cached ValidationResult object itself
-    if obs_enabled():  # counters are null under REPRO_NO_OBS=1
-        assert gate.stats.cache_hits == before_hits + 1
+    assert gate.stats.cache_hits == before_hits + 1
 
 
 def test_in_place_mutation_invalidates_cached_allows(validators, default_manifests):

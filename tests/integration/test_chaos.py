@@ -26,12 +26,7 @@ from repro.faults import (
 from repro.helm.chart import render_chart
 from repro.k8s.apiserver import Cluster
 from repro.k8s.http import HttpApiServer, HttpClient
-from repro.obs import obs_enabled
 from repro.resilience import ResilienceConfig, RetryPolicy
-
-#: Metric-snapshot assertions are vacuous under REPRO_NO_OBS=1 (null
-#: instruments); the behavioral assertions in every test still run.
-OBS = obs_enabled()
 
 #: Tight timings so a full chaos pass stays CI-friendly.
 TIGHT = ResilienceConfig(
@@ -84,9 +79,8 @@ def test_blackout_trips_the_breaker_and_refuses_closed(nginx_chart, nginx_valida
     )
     assert report.benign_ok == 0  # upstream fully dark
     assert report.benign_refused > 0  # refused with 5xx, not admitted
-    if OBS:
-        assert report.breaker_opens >= 1
-        assert report.degraded_refused > 0
+    assert report.breaker_opens >= 1
+    assert report.degraded_refused > 0
     assert report.survived
 
 
@@ -144,7 +138,6 @@ def test_http_chaos_zero_fail_open(faulty_http_stack, nginx_chart):
             assert not get_path(spec, path, None)
 
 
-@pytest.mark.skipif(not OBS, reason="metrics disabled via REPRO_NO_OBS")
 def test_http_chaos_metrics_surface_retries(faulty_http_stack, nginx_chart):
     _cluster, injector, proxy = faulty_http_stack
     operator = HttpClient(proxy.base_url, username="nginx-operator")
@@ -185,12 +178,11 @@ def test_http_blackout_breaker_opens_then_recovers(nginx_validator, nginx_chart)
             assert refused > 0
             assert proxy.breaker is not None
             assert proxy.breaker.state == "open"
-            if OBS:
-                snapshot = proxy.stats.snapshot()
-                assert snapshot.get("kubefence_breaker_state") == 1.0
-                assert snapshot.get(
-                    'kubefence_degraded_requests_total{mode="refused"}', 0
-                ) > 0
+            snapshot = proxy.stats.snapshot()
+            assert snapshot.get("kubefence_breaker_state") == 1.0
+            assert snapshot.get(
+                'kubefence_degraded_requests_total{mode="refused"}', 0
+            ) > 0
 
             # Heal the upstream, wait out the recovery window, probe.
             injector.plan = FaultPlan(name="healed")
@@ -198,8 +190,7 @@ def test_http_blackout_breaker_opens_then_recovers(nginx_validator, nginx_chart)
             status, _ = client.apply(manifest)
             assert 200 <= status < 300
             assert proxy.breaker.state == "closed"
-            if OBS:
-                assert proxy.stats.snapshot().get("kubefence_breaker_state") == 0.0
+            assert proxy.stats.snapshot().get("kubefence_breaker_state") == 0.0
 
 
 def test_dead_upstream_refuses_closed_and_still_denies(
@@ -223,11 +214,10 @@ def test_dead_upstream_refuses_closed_and_still_denies(
             status, _ = attacker.apply(bad)
             assert status in (403, 503)  # local denial unaffected
 
-        if OBS:
-            snapshot = proxy.stats.snapshot()
-            assert snapshot.get(
-                'kubefence_degraded_requests_total{mode="refused"}', 0
-            ) > 0
+        snapshot = proxy.stats.snapshot()
+        assert snapshot.get(
+            'kubefence_degraded_requests_total{mode="refused"}', 0
+        ) > 0
 
 
 def test_http_write_not_replayed_after_transport_error(
@@ -256,20 +246,18 @@ def test_http_write_not_replayed_after_transport_error(
             status, body = client.create(manifest)
             assert status == 503, body
             assert injector.requests_seen == 1
-            if OBS:
-                assert proxy.stats.snapshot().get(
-                    "kubefence_retries_total", 0
-                ) == 0
+            assert proxy.stats.snapshot().get(
+                "kubefence_retries_total", 0
+            ) == 0
 
             # Same fault against a GET: retried through the reset.
             injector.reset()
             status, _ = client.get("Service", manifest["metadata"]["name"])
             assert injector.requests_seen >= 2  # transport retry happened
             assert status == 404  # the POST was never applied upstream
-            if OBS:
-                assert proxy.stats.snapshot().get(
-                    "kubefence_retries_total", 0
-                ) >= 1
+            assert proxy.stats.snapshot().get(
+                "kubefence_retries_total", 0
+            ) >= 1
 
 
 def test_http_fail_static_serves_stale_reads(nginx_validator, nginx_chart):
@@ -322,10 +310,9 @@ def test_http_fail_static_serves_stale_reads(nginx_validator, nginx_chart):
                 )
                 body = json.loads(resp.read())
             assert body["metadata"]["name"] == name
-            if OBS:
-                assert proxy.stats.snapshot().get(
-                    'kubefence_degraded_requests_total{mode="stale-read"}', 0
-                ) > 0
+            assert proxy.stats.snapshot().get(
+                'kubefence_degraded_requests_total{mode="stale-read"}', 0
+            ) > 0
 
             # A different identity must NOT receive the cached 200:
             # the upstream authorizes per user, so serving another

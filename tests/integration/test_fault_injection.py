@@ -261,8 +261,6 @@ class TestMalformedFramingFailsClosed:
     def test_answered_locally_and_connection_closed(
         self, http_stack, frontend, request_bytes, expected
     ):
-        from repro.obs import obs_enabled
-
         cluster, server, proxy = http_stack
         target = server if frontend == "apiserver" else proxy
         status, body, trailing = _raw_exchange(target.base_url, request_bytes)
@@ -275,19 +273,18 @@ class TestMalformedFramingFailsClosed:
         # Never reached the decision path or the upstream ...
         assert proxy.stats.requests_total == 0
         assert not proxy.denials
-        if obs_enabled():
-            upstream = cluster.api.metrics.snapshot()
-            assert self._series_total(
-                upstream, "kubefence_apiserver_requests_total") == 0
-            # ... but is on the access counter of whoever answered.
-            registry = (
-                cluster.api.metrics if frontend == "apiserver"
-                else proxy.stats.registry
-            )
-            method = request_bytes.split(b" ", 1)[0].decode()
-            assert registry.snapshot()[
-                f'http_requests_total{{method="{method}",code="{expected}"}}'
-            ] == 1
+        upstream = cluster.api.metrics.snapshot()
+        assert self._series_total(
+            upstream, "kubefence_apiserver_requests_total") == 0
+        # ... but is on the access counter of whoever answered.
+        registry = (
+            cluster.api.metrics if frontend == "apiserver"
+            else proxy.stats.registry
+        )
+        method = request_bytes.split(b" ", 1)[0].decode()
+        assert registry.snapshot()[
+            f'http_requests_total{{method="{method}",code="{expected}"}}'
+        ] == 1
 
     def test_frontends_keep_serving_after_malformed_framing(self, http_stack):
         from repro.helm.chart import render_chart

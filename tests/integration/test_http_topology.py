@@ -300,7 +300,7 @@ class TestTransportParity:
         from contextlib import ExitStack
 
         from repro.faults import FaultPlan
-        from repro.obs import delta, obs_enabled
+        from repro.obs import delta
 
         chart = get_chart("nginx")
         validator = generate_policy(chart)
@@ -343,16 +343,15 @@ class TestTransportParity:
             http["denials"][0].violations
         )
         assert any("hostNetwork" in v for v in denial["details"]["violations"])
-        if obs_enabled():
-            assert http["counters"] == inproc["counters"]
-            assert http["counters"]["kubefence_retries_total"] == 2
-            assert http["counters"][
-                'kubefence_degraded_requests_total{mode="stale-read"}'] == 1
-            assert http["events"] == inproc["events"]
-            assert [e[5] for e in http["events"]] == [
-                "allow", "allow", "deny", "allow",
-                "error", "degraded", "degraded", "degraded",
-            ]
+        assert http["counters"] == inproc["counters"]
+        assert http["counters"]["kubefence_retries_total"] == 2
+        assert http["counters"][
+            'kubefence_degraded_requests_total{mode="stale-read"}'] == 1
+        assert http["events"] == inproc["events"]
+        assert [e[5] for e in http["events"]] == [
+            "allow", "allow", "deny", "allow",
+            "error", "degraded", "degraded", "degraded",
+        ]
 
     def test_transport_error_replays_a_post_in_process_but_not_over_http(self):
         """The one intended difference.  The in-process chaos wrapper
@@ -387,8 +386,5 @@ class TestTransportParity:
                         "Service", "default", service["metadata"]["name"]
                     ),
                 )
-        from repro.obs import obs_enabled
-
-        retried = 1 if obs_enabled() else 0
-        assert outcome[_InProcessArm] == (201, retried, True)
+        assert outcome[_InProcessArm] == (201, 1, True)
         assert outcome[_HttpArm] == (503, 0, False)

@@ -1,6 +1,6 @@
 """Unit tests for the unified security-event stream: the record
 schema, the bounded bus, subscriber fan-out/detachment, JSONL
-round-trips, and the REPRO_NO_OBS null bus."""
+round-trips, and the null bus."""
 
 import io
 import json
@@ -18,7 +18,6 @@ from repro.obs.analytics.events import (
     dump_jsonl,
     events_from_audit_log,
     load_jsonl,
-    new_event_bus,
 )
 
 
@@ -134,12 +133,6 @@ class TestNullBus:
         assert len(NULL_EVENT_BUS) == 0
         assert NULL_EVENT_BUS.events() == []
         assert json.loads(NULL_EVENT_BUS.to_json())["events"] == []
-
-    def test_new_event_bus_respects_no_obs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_OBS", raising=False)
-        assert new_event_bus().enabled is True
-        monkeypatch.setenv("REPRO_NO_OBS", "1")
-        assert new_event_bus() is NULL_EVENT_BUS
 
 
 class TestSerialization:

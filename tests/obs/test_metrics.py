@@ -12,10 +12,8 @@ from repro.obs import (
     MAX_LABEL_SETS,
     MetricError,
     MetricsRegistry,
-    NULL_REGISTRY,
     delta,
     new_registry,
-    obs_enabled,
 )
 from repro.obs.metrics import DROPPED_SERIES_METRIC
 
@@ -344,29 +342,15 @@ class TestWindows:
 
 
 # ---------------------------------------------------------------------------
-# The REPRO_NO_OBS escape hatch
+# new_registry (the name benchmarks/e2e imports)
 # ---------------------------------------------------------------------------
 
 
-class TestEscapeHatch:
-    def test_obs_enabled_follows_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_OBS", raising=False)
-        assert obs_enabled()
-        monkeypatch.setenv("REPRO_NO_OBS", "1")
-        assert not obs_enabled()
-
-    def test_new_registry_is_null_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_OBS", "1")
-        registry = new_registry()
-        assert registry is NULL_REGISTRY
-        registry.counter("x_total").labels(a="b").inc()
-        registry.histogram("y_ns").observe(1.0)
-        assert registry.expose() == ""
-        assert registry.snapshot() == {}
-
-    def test_new_registry_is_real_when_enabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_OBS", raising=False)
-        assert isinstance(new_registry(), MetricsRegistry)
+class TestNewRegistry:
+    def test_new_registry_is_a_fresh_metrics_registry(self):
+        first, second = new_registry(), new_registry()
+        assert isinstance(first, MetricsRegistry)
+        assert first is not second
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +445,3 @@ class TestLocalHandles:
         a.merge_from(b)
         assert a.counter("reqs_total").value == 4
         assert a.histogram("lat_ns", buckets=(10.0,)).count == 1
-
-    def test_null_registry_local_is_noop(self):
-        NULL_REGISTRY.counter("x_total").local().inc()
-        assert NULL_REGISTRY.expose() == ""

@@ -1,9 +1,8 @@
 """Unit tests for the continuous-profiling subsystem (PR 10).
 
 Covers the sampling wall-clock profiler (bounded stack table, refcounted
-lifecycle, ``REPRO_PROFILE_HZ``/``REPRO_NO_OBS`` gating, concurrent
-scrape-while-sampling), per-request phase attribution (null clock under
-``REPRO_NO_OBS=1`` -- no metric cells, hot paths skip clock reads), the
+lifecycle, ``REPRO_PROFILE_HZ`` gating, concurrent
+scrape-while-sampling), per-request phase attribution, the
 in-process time-series ring (delta vs gauge semantics, retention,
 filters), the ``/obs/profile``+``/obs/timeseries`` endpoint surfaces,
 OpenMetrics content negotiation with exemplars, and the ``repro top``
@@ -24,25 +23,21 @@ from repro.obs.http import (
 )
 from repro.obs.metrics import (
     MetricsRegistry,
-    NULL_REGISTRY,
     set_exemplar_trace_provider,
 )
 from repro.obs.profile import (
-    NULL_PHASE_CLOCK,
     PHASES,
+    PhaseClock,
     SamplingProfiler,
     TimeSeriesRing,
-    new_phase_clock,
     phase_totals,
 )
-from repro.obs.profile.phases import PHASE_METRIC, WALL_METRIC
 from repro.obs.profile.sampler import DEFAULT_PROFILE_HZ, profile_hz
 from repro.obs.tracing import current_trace_id
 
 
 @pytest.fixture(autouse=True)
-def _obs_on(monkeypatch):
-    monkeypatch.delenv("REPRO_NO_OBS", raising=False)
+def _default_profile_hz(monkeypatch):
     monkeypatch.delenv("REPRO_PROFILE_HZ", raising=False)
 
 
@@ -128,12 +123,6 @@ class TestSamplingProfiler:
         assert profiler.start() is False
         assert not profiler.running
 
-    def test_no_obs_disables(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_OBS", "1")
-        profiler = SamplingProfiler(hz=100)
-        assert profiler.start() is False
-        assert not profiler.running
-
     def test_profile_hz_env_parsing(self, monkeypatch):
         assert profile_hz() == DEFAULT_PROFILE_HZ
         monkeypatch.setenv("REPRO_PROFILE_HZ", "banana")
@@ -187,8 +176,7 @@ class TestSamplingProfiler:
 class TestPhaseClock:
     def test_stamps_land_in_registry(self):
         registry = MetricsRegistry()
-        clock = new_phase_clock(registry)
-        assert clock.enabled
+        clock = PhaseClock(registry)
         clock.validation(100)
         clock.cache_probe(40)
         clock.wall(200)
@@ -199,7 +187,7 @@ class TestPhaseClock:
 
     def test_sharded_cells_fold_into_snapshot(self):
         registry = MetricsRegistry()
-        clock = new_phase_clock(registry)
+        clock = PhaseClock(registry)
         clock.upstream(77)
         clock.wall(80)
         assert phase_totals(registry)["upstream"] == 77
@@ -207,28 +195,11 @@ class TestPhaseClock:
 
     def test_taxonomy_is_complete(self):
         registry = MetricsRegistry()
-        clock = new_phase_clock(registry)
+        clock = PhaseClock(registry)
         for phase in PHASES:
             getattr(clock, phase.replace("-", "_"))(1)
         totals = phase_totals(registry)
         assert all(totals[phase] == 1 for phase in PHASES)
-
-    def test_no_obs_returns_shared_null_clock(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_OBS", "1")
-        registry = MetricsRegistry()
-        clock = new_phase_clock(registry)
-        assert clock is NULL_PHASE_CLOCK
-        assert clock.enabled is False
-        # The hot-path regression: stamping the null clock allocates no
-        # metric cells -- the exposition stays byte-identical.
-        clock.validation(123)
-        clock.wall(456)
-        assert PHASE_METRIC not in registry.expose()
-        assert WALL_METRIC not in registry.expose()
-
-    def test_null_registry_returns_null_clock(self):
-        assert new_phase_clock(None) is NULL_PHASE_CLOCK
-        assert new_phase_clock(NULL_REGISTRY) is NULL_PHASE_CLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +267,12 @@ class TestTimeSeriesRing:
         assert payload["retention"] == 10
         assert payload["running"] is False
 
-    def test_start_refused_without_obs_or_real_registry(self, monkeypatch):
-        registry, _, _ = _ring_registry()
-        assert TimeSeriesRing(NULL_REGISTRY).start() is False
-        monkeypatch.setenv("REPRO_NO_OBS", "1")
-        assert TimeSeriesRing(registry).start() is False
-
     def test_thread_lifecycle_is_leak_free(self, leak_checker):
         registry, counter, _ = _ring_registry()
         token = leak_checker.begin()
         ring = TimeSeriesRing(registry, interval_s=0.02, retention=50)
-        assert ring.start()
+        ring.start()
+        assert ring.running
         deadline = time.monotonic() + 5
         while len(ring) == 0 and time.monotonic() < deadline:
             counter.inc()

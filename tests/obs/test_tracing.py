@@ -85,13 +85,6 @@ class TestTraceLifecycle:
         assert a.end_ns >= a.start_ns
         assert a.children[0].end_ns >= a.children[0].start_ns
 
-    def test_disabled_by_escape_hatch(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_OBS", "1")
-        with trace("proxy.request") as t:
-            assert t is None
-            assert current_trace_id() is None
-        assert len(TRACES) == 0
-
     def test_to_json_round_trips(self):
         with trace("proxy.request"):
             with span("proxy.validate"):

@@ -1,8 +1,8 @@
 """Every ``REPRO_*`` variable the code reads is documented, and every
 documented one is read: the "Configuration" table in
 ``docs/architecture.md`` is diffed against the literals in ``src/``
-both ways.  The three switches that used to select a second data plane
-must not come back anywhere in the tree."""
+both ways.  The switches that used to select a second data plane or a
+null telemetry plane must not come back anywhere in the tree."""
 
 import re
 from pathlib import Path
@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ENV_NAME = re.compile(r"REPRO_[A-Z_]+")
 
 #: Spelled in two parts so this file does not trip its own scan.
-REMOVED = tuple("REPRO_NO_" + arm for arm in ("SHARDS", "COMPILE", "WAL"))
+REMOVED = tuple("REPRO_NO_" + arm for arm in ("SHARDS", "COMPILE", "WAL", "OBS"))
 
 
 def _names_in(paths) -> set[str]:
