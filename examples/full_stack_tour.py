@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""The grand tour: every layer of the reproduction in one scenario.
+"""The grand tour: every enforcement layer of the reproduction in one
+scenario.
 
 Workflow (the paper's recommended stack, Sec. V + Sec. VIII):
 
 1. **lint** the chart before policy generation (KubeLinter role);
 2. **generate** the KubeFence policy from the chart;
-3. stand up a **hardened cluster**: RBAC + LimitRange/ResourceQuota
-   admission + the KubeFence proxy + anomaly monitoring;
-4. **deploy** the operator through the whole stack; run the
-   **controllers**, the **scheduler**, and a **self-healing** pass;
-5. launch the **attack catalog** and watch each layer do its job;
-6. **tear down** with cascading garbage collection.
+3. stand up a **hardened cluster**: an audit2rbac-inferred RBAC policy,
+   the CVE exploit engine in the admission chain, the KubeFence proxy
+   and anomaly monitoring in front of it;
+4. **deploy** the operator through the whole stack, then run its Day-2
+   **reconcile** loop;
+5. launch the **attack catalog** and watch each layer do its job.
 
 Run:  python examples/full_stack_tour.py
 """
@@ -20,19 +21,17 @@ from repro.core.anomaly import AnomalyMonitoringTransport, ApiAnomalyDetector
 from repro.core.pipeline import generate_policy
 from repro.core.proxy import KubeFenceProxy
 from repro.helm.chart import render_chart
-from repro.k8s.admission import install_builtin_admission
-from repro.k8s.apiserver import ApiRequest, Cluster, User
-from repro.k8s.controllers import ControllerManager
-from repro.k8s.gc import delete_with_cascade
-from repro.k8s.scheduler import Node, Scheduler
+from repro.k8s.apiserver import Cluster
 from repro.k8s.vulndb import ExploitEngine
 from repro.lint import lint_chart
 from repro.operators import get_chart
-from repro.operators.runtime import OperatorRuntime
+from repro.operators.client import DirectTransport, OperatorClient
+from repro.rbac import RBACAuthorizer, infer_policy
 
 
 def main() -> None:
     chart = get_chart("postgresql")
+    operator = f"{chart.name}-operator"
 
     # 1. Pre-deployment static analysis.
     report = lint_chart(chart)
@@ -45,54 +44,41 @@ def main() -> None:
     print(f"[policy]    kinds={sorted(validator.kinds)}, "
           f"{len(validator.locks)} security locks")
 
-    # 3. The hardened cluster.
-    cluster = Cluster()
-    install_builtin_admission(cluster.api)
-    cluster.apply({"apiVersion": "v1", "kind": "ResourceQuota",
-                   "metadata": {"name": "team-quota", "namespace": "default"},
-                   "spec": {"hard": {"pods": 10, "requests.cpu": "8"}}})
+    # 3. The hardened cluster: RBAC learned from an attack-free run.
+    learn = Cluster()
+    learn_client = OperatorClient(DirectTransport(learn.api))
+    learn_client.reconcile(learn_client.deploy_chart(chart))
+    rbac_policy = infer_policy(learn.api.audit_log, operator)
+    rules = sum(len(role.rules) for role in rbac_policy.roles)
+    print(f"[rbac]      {rules} rules inferred for {operator}")
+
+    cluster = Cluster(authorizer=RBACAuthorizer(rbac_policy))
     engine = ExploitEngine()
     cluster.api.register_admission_plugin(engine)
-    detector = ApiAnomalyDetector()
+    proxy = KubeFenceProxy(cluster.api, validator)
     transport = AnomalyMonitoringTransport(
-        KubeFenceProxy(cluster.api, validator), detector, learn_online=True
+        proxy, ApiAnomalyDetector(), learn_online=True
     )
+    client = OperatorClient(transport)
 
-    # 4. Deploy + converge + schedule + self-heal.
-    runtime = OperatorRuntime(chart, transport, cluster.store)
-    responses = runtime.install()
-    print(f"[deploy]    {sum(r.ok for r in responses)}/{len(responses)} manifests "
-          "applied through lint-approved policy")
-
-    ControllerManager(cluster.store).run_until_stable()
-    scheduler = Scheduler(cluster.store, [Node("worker-1"), Node("worker-2")])
-    bound = scheduler.schedule_once()
-    pods = cluster.store.list("Pod")
-    print(f"[converge]  {len(pods)} pods running, {bound} scheduled across 2 nodes")
-
-    cluster.store.delete("Service", "default", "postgresql-postgresql")
-    actions = runtime.reconcile()
-    print(f"[self-heal] operator restored {len(actions)} resource(s) "
-          f"({actions[0].kind}/{actions[0].name})")
+    # 4. Day-1 deploy, then the Day-2 reconcile loop.
+    result = client.deploy_chart(chart)
+    print(f"[deploy]    {len(result.succeeded)}/{len(result.responses)} manifests "
+          "applied through RBAC + KubeFence")
+    responses = client.reconcile(result)
+    print(f"[reconcile] {sum(r.ok for r in responses)}/{len(responses)} "
+          "get/update requests passed")
 
     # 5. The attack campaign against the full stack.
     malicious = build_malicious_manifests(chart.name, render_chart(chart))
-    blocked = 0
-    for item in malicious:
-        response = transport.submit(
-            ApiRequest.from_manifest(item.manifest, User(f"{chart.name}-operator"), "update")
-        )
-        blocked += 0 if response.ok else 1
+    blocked = sum(
+        not client.submit_manifest(chart.name, item.manifest, verb="update").ok
+        for item in malicious
+    )
     print(f"[attack]    {blocked}/{len(malicious)} malicious manifests blocked; "
           f"CVEs fired: {sorted(engine.triggered_cves()) or 'none'}; "
+          f"proxy denials: {len(proxy.denials)}; "
           f"anomaly alerts: {len(transport.alerts)}")
-
-    # 6. Teardown with cascading GC.
-    ControllerManager(cluster.store).run_until_stable()
-    result = delete_with_cascade(cluster.store, "StatefulSet", "default",
-                                 "postgresql-postgresql")
-    print(f"[teardown]  cascade removed {len(result.deleted)} objects "
-          f"({', '.join(sorted({k for k, _, _ in result.deleted}))})")
 
 
 if __name__ == "__main__":

@@ -9,14 +9,12 @@ configurations:
 - **KubeFence** -- the same requests pass through the enforcement
   proxy, which validates each payload before forwarding.
 
-Two transports are supported: the deterministic in-process transport
-(pure compute cost), and the real-HTTP topology
-(:mod:`repro.k8s.http`) that includes socket round trips like the
-paper's mitmproxy deployment.  An optional simulated per-request
-network delay can be added to the in-process mode to model the
-client-to-control-plane link of the paper's two-VM testbed; it is
-applied identically to both configurations, so the *absolute* increase
-attributable to KubeFence is still honestly measured.
+Both arms run on the deterministic in-process transport (pure compute
+cost); the real-socket figure comes from the end-to-end harness in
+``benchmarks/e2e/``.  An optional simulated per-request network delay
+models the client-to-control-plane link of the paper's two-VM testbed;
+it is applied identically to both configurations, so the *absolute*
+increase attributable to KubeFence is still honestly measured.
 
 Counters ride the observability layer (:mod:`repro.obs`): per-proxy
 ``ProxyStats`` registries are merged across repetitions and the
@@ -34,7 +32,7 @@ from typing import Any, Callable
 
 from repro.core.enforcement import Validator
 from repro.core.pipeline import generate_policy
-from repro.core.proxy import KubeFenceProxy
+from repro.core.proxy import KubeFenceProxy, ProxyStats
 from repro.helm.chart import Chart, render_chart
 from repro.k8s.apiserver import ApiRequest, ApiResponse, Cluster
 from repro.operators.client import DirectTransport, OperatorClient
@@ -162,75 +160,11 @@ def measure_overhead(
 
     rbac_samples = _time_deploys(rbac_client, chart, config.repetitions)
     kf_samples = _time_deploys(kubefence_client, chart, config.repetitions)
-    totals = _aggregate_stats(proxies)
-    return OverheadRow(
-        operator=chart.name,
-        rbac_ms_mean=statistics.fmean(rbac_samples),
-        rbac_ms_std=statistics.pstdev(rbac_samples),
-        kubefence_ms_mean=statistics.fmean(kf_samples),
-        kubefence_ms_std=statistics.pstdev(kf_samples),
-        cache_hits=totals.cache_hits,
-        cache_misses=totals.cache_misses,
-        validation_ns_p50=totals.validation_ns_p50,
-        validation_ns_p99=totals.validation_ns_p99,
-        validation_ns_mean=totals.validation_ns_mean,
-        metrics_window=totals.snapshot(),
-    )
-
-
-def _aggregate_stats(proxies: list[Any]) -> Any:
-    """Fold per-proxy registries into one ProxyStats façade (the
-    cross-repetition Table IV totals)."""
-    from repro.core.proxy import ProxyStats
-
+    # Fold the per-proxy registries into one façade: the
+    # cross-repetition Table IV totals.
     totals = ProxyStats()
     for proxy in proxies:
         totals.merge(proxy.stats)
-    return totals
-
-
-def measure_overhead_http(
-    chart: Chart, repetitions: int = 5, validator: Validator | None = None
-) -> OverheadRow:
-    """The same measurement over real TCP sockets: client -> API server
-    (RBAC arm) vs client -> KubeFence HTTP proxy -> API server."""
-    from repro.core.proxy import HttpKubeFenceProxy
-    from repro.k8s.http import HttpApiServer, HttpClient
-
-    validator = validator or generate_policy(chart)
-    manifests = render_chart(chart)
-    proxies: list[Any] = []
-
-    def run(base_url_factory: Callable[[], tuple[Any, str]]) -> list[float]:
-        samples = []
-        for _ in range(repetitions):
-            resources, url = base_url_factory()
-            try:
-                client = HttpClient(url)
-                started = time.perf_counter()
-                for manifest in manifests:
-                    status, _body = client.apply(manifest)
-                    if status >= 300:
-                        raise RuntimeError(f"benign request failed: {status}")
-                samples.append((time.perf_counter() - started) * 1000.0)
-            finally:
-                for resource in resources:
-                    resource.stop()
-        return samples
-
-    def direct() -> tuple[Any, str]:
-        server = HttpApiServer(Cluster().api).start()
-        return [server], server.base_url
-
-    def proxied() -> tuple[Any, str]:
-        server = HttpApiServer(Cluster().api).start()
-        proxy = HttpKubeFenceProxy(server.base_url, validator).start()
-        proxies.append(proxy)
-        return [proxy, server], proxy.base_url
-
-    rbac_samples = run(direct)
-    kf_samples = run(proxied)
-    totals = _aggregate_stats(proxies)
     return OverheadRow(
         operator=chart.name,
         rbac_ms_mean=statistics.fmean(rbac_samples),

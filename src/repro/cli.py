@@ -537,7 +537,8 @@ def _series_sum(values: dict, name: str) -> float:
 def _bucket_deltas(values: dict, name: str) -> list[tuple[float, float]]:
     """Aggregate ``<name>{...,le="..."}`` cells into sorted cumulative
     ``(le, count)`` pairs.  Deltas of cumulative buckets stay cumulative
-    in ``le``, so the quantile math below works on ring deltas as-is."""
+    in ``le``, so :func:`~repro.obs.metrics.bucket_quantile` works on
+    ring deltas as-is."""
     import re as _re
 
     buckets: dict[float, float] = {}
@@ -553,33 +554,13 @@ def _bucket_deltas(values: dict, name: str) -> list[tuple[float, float]]:
     return sorted(buckets.items())
 
 
-def _hist_quantile(buckets: list[tuple[float, float]], q: float) -> float:
-    """Upper-bound quantile estimate from cumulative histogram buckets."""
-    if not buckets:
-        return 0.0
-    total = buckets[-1][1]
-    if total <= 0:
-        return 0.0
-    target = q * total
-    previous_le = 0.0
-    previous_count = 0.0
-    for le, count in buckets:
-        if count >= target:
-            if le == float("inf"):
-                return previous_le
-            span = count - previous_count
-            if span <= 0:
-                return le
-            return previous_le + (le - previous_le) * (target - previous_count) / span
-        previous_le, previous_count = le, count
-    return previous_le
-
-
 def render_top(payload: dict, url: str = "") -> str:
     """Render one ``repro top`` frame from an ``/obs/timeseries`` payload.
 
     Pure so tests can feed it canned payloads; ``cmd_top`` owns the
     fetch/clear/sleep loop."""
+    from repro.obs.metrics import bucket_quantile
+
     points = payload.get("points") or []
     interval = float(payload.get("interval_s") or 1.0) or 1.0
     state = "running" if payload.get("running") else "stopped"
@@ -613,8 +594,8 @@ def render_top(payload: dict, url: str = "") -> str:
     ):
         buckets = _bucket_deltas(values, metric + "_bucket")
         if buckets and buckets[-1][1] > 0:
-            p50 = _hist_quantile(buckets, 0.50) / 1e3
-            p99 = _hist_quantile(buckets, 0.99) / 1e3
+            p50 = bucket_quantile(buckets, 0.50) / 1e3
+            p99 = bucket_quantile(buckets, 0.99) / 1e3
             lines.append(
                 f"  latency  p50 {p50:>8.1f}us   p99 {p99:>8.1f}us   ({tag})"
             )

@@ -157,8 +157,8 @@ class ProxyStats:
     scrapeable from ``/metrics``, while the attribute API
     (``stats.cache_hits`` etc.) is preserved for callers.  Latency is
     recorded twice: into a labeled Prometheus histogram
-    (``kubefence_validation_latency_ns{outcome="hit"|"miss"}``) and
-    into bounded sample rings for exact percentile math.
+    (``kubefence_validation_latency_ns{outcome="hit"|"miss"}``) and,
+    for misses, into a bounded sample ring for exact percentile math.
 
     Cache **hits** record their (cheap) lookup latency as their own
     sample instead of being silently dropped -- otherwise the Table IV
@@ -247,29 +247,16 @@ class ProxyStats:
         # Per-request phase attribution (kubefence_phase_ns_total):
         # a bound-``inc`` per phase.
         self.phases = PhaseClock(reg)
-        #: per-request validation latency samples (ns), bounded rings:
-        #: full validations (cache misses) and cache-hit lookups.
+        #: per-request validation latency samples (ns) of full
+        #: validations (cache misses), a bounded ring.
         self.validation_ns_samples: list[int] = []
-        self.cache_hit_ns_samples: list[int] = []
         self._sample_cursor = 0
-        self._hit_cursor = 0
-        # Hot-path shortcut: these run unconditionally on every
-        # request, so skip the wrapper frame (see comment above
-        # the def-forms).
+        # The unconditional once-per-request counters are the write
+        # handles' own ``inc``: no wrapper frame on the hot path.
         self.count_request = self._requests.inc
         self.count_validated = self._validated.inc
 
     # -- mutation (proxy internals only) -----------------------------------
-    # The unconditional once-per-request counters are rebound to the
-    # write handle's own ``inc`` at the end of __init__ (one call
-    # frame less on the hot path); the def-forms below keep the
-    # methods documented and are what subclasses would override.
-
-    def count_request(self) -> None:
-        self._requests.inc()
-
-    def count_validated(self) -> None:
-        self._validated.inc()
 
     def count_denial(self, operator: str, kind: str, reason: str) -> None:
         self._denied.inc()
@@ -312,14 +299,6 @@ class ProxyStats:
             self._http_bound[key] = bound
         bound.inc()
 
-    @staticmethod
-    def _ring_append(samples: list[int], cursor: int, value: int) -> int:
-        if len(samples) < _MAX_LATENCY_SAMPLES:
-            samples.append(value)
-        else:
-            samples[cursor % _MAX_LATENCY_SAMPLES] = value
-        return cursor + 1
-
     def record_validation_ns(self, elapsed_ns: int, cache_hit: bool = False) -> None:
         # Phase attribution rides the clock reads the gate already
         # takes: a cache hit's whole cost is the probe, a miss's is
@@ -328,15 +307,15 @@ class ProxyStats:
         if cache_hit:
             self.phases.cache_probe(elapsed_ns)
             self._latency_hit.observe(elapsed_ns)
-            self._hit_cursor = self._ring_append(
-                self.cache_hit_ns_samples, self._hit_cursor, elapsed_ns
-            )
         else:
             self.phases.validation(elapsed_ns)
             self._latency_miss.observe(elapsed_ns)
-            self._sample_cursor = self._ring_append(
-                self.validation_ns_samples, self._sample_cursor, elapsed_ns
-            )
+            samples = self.validation_ns_samples
+            if len(samples) < _MAX_LATENCY_SAMPLES:
+                samples.append(elapsed_ns)
+            else:
+                samples[self._sample_cursor % _MAX_LATENCY_SAMPLES] = elapsed_ns
+            self._sample_cursor += 1
 
     # -- read API (unchanged names) ----------------------------------------
 
@@ -373,12 +352,6 @@ class ProxyStats:
         return int(self._retries.value)
 
     @property
-    def degraded_total(self) -> int:
-        snapshot: dict[str, float] = {}
-        self._degraded.snapshot_into(snapshot)
-        return int(sum(snapshot.values()))
-
-    @property
     def validation_seconds(self) -> float:
         """Total wall time spent in the validation gate (hits + misses)."""
         return (self._latency_hit.sum + self._latency_miss.sum) / 1e9
@@ -412,10 +385,6 @@ class ProxyStats:
         return self._percentile_ns(0.99)
 
     @property
-    def cache_hit_ns_p50(self) -> float:
-        return self._percentile(self.cache_hit_ns_samples, 0.50)
-
-    @property
     def cache_hit_rate(self) -> float:
         probed = self.cache_hits + self.cache_misses
         return self.cache_hits / probed if probed else 0.0
@@ -429,12 +398,10 @@ class ProxyStats:
         return self.registry.snapshot()
 
     def reset(self) -> None:
-        """Zero every counter/histogram and drop the sample rings."""
+        """Zero every counter/histogram and drop the sample ring."""
         self.registry.reset()
         self.validation_ns_samples.clear()
-        self.cache_hit_ns_samples.clear()
         self._sample_cursor = 0
-        self._hit_cursor = 0
 
     def merge(self, other: "ProxyStats") -> None:
         """Fold *other*'s counters into this instance (aggregation
@@ -443,9 +410,6 @@ class ProxyStats:
         room = _MAX_LATENCY_SAMPLES - len(self.validation_ns_samples)
         if room > 0:
             self.validation_ns_samples.extend(other.validation_ns_samples[:room])
-        room = _MAX_LATENCY_SAMPLES - len(self.cache_hit_ns_samples)
-        if room > 0:
-            self.cache_hit_ns_samples.extend(other.cache_hit_ns_samples[:room])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -1039,23 +1003,12 @@ class MultiPolicyProxy:
                 event_bus=self.events,
             )
 
-    def proxy_for(self, username: str) -> "KubeFenceProxy | None":
-        return self._proxies.get(username)
-
     @property
     def denials(self) -> list[DenialRecord]:
         out = list(self.unbound_denials)
         for proxy in self._proxies.values():
             out.extend(proxy.denials)
         return out
-
-    def stats_totals(self) -> ProxyStats:
-        """Aggregate per-identity proxy stats into one façade (the
-        cluster-wide scrape view)."""
-        totals = ProxyStats()
-        for proxy in self._proxies.values():
-            totals.merge(proxy.stats)
-        return totals
 
     def submit(self, request: ApiRequest) -> ApiResponse:
         proxy = self._proxies.get(request.user.username)

@@ -1,6 +1,9 @@
-"""A from-scratch miniature Kubernetes control plane.
+"""A from-scratch miniature Kubernetes API server.
 
-This package implements everything KubeFence needs from Kubernetes:
+This package implements what KubeFence mediates and what the paper's
+experiments measure -- the API request path and its attack surface.
+Nothing runs behind the store: there are no controllers, scheduler or
+garbage collector.
 
 - :mod:`repro.k8s.gvk` -- group/version/kind registry of resource types.
 - :mod:`repro.k8s.schema` -- the configurable-field catalog (the
@@ -11,11 +14,10 @@ This package implements everything KubeFence needs from Kubernetes:
 - :mod:`repro.k8s.audit` -- structured audit logging (for audit2rbac).
 - :mod:`repro.k8s.apiserver` -- the API server: routing, authorization,
   admission, persistence, auditing.
-- :mod:`repro.k8s.controllers` -- built-in controllers (Deployment ->
-  ReplicaSet -> Pod reconciliation, etc.).
 - :mod:`repro.k8s.vulndb` -- CVE database + live exploit engine.
 - :mod:`repro.k8s.e2e` -- synthetic e2e test corpus and coverage model.
 - :mod:`repro.k8s.http` -- optional real-HTTP transport (stdlib).
+- :mod:`repro.k8s.wal` -- write-ahead log behind a durable store.
 """
 
 from repro.k8s.apiserver import ApiRequest, ApiResponse, APIServer, Cluster

@@ -503,8 +503,8 @@ class APIServer:
 
 
 class Cluster:
-    """A convenience bundle: store + API server (+ later: controllers,
-    exploit engine).  This is what tests and examples instantiate."""
+    """A convenience bundle: store + API server.  This is what tests
+    and examples instantiate."""
 
     def __init__(
         self,
@@ -542,8 +542,3 @@ class Cluster:
                 else "create"
             )
         return self.api.handle(ApiRequest.from_manifest(manifest, user, verb))
-
-    def apply_all(
-        self, manifests: list[dict[str, Any]], user: User | None = None
-    ) -> list[ApiResponse]:
-        return [self.apply(m, user) for m in manifests]

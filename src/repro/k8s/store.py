@@ -3,10 +3,10 @@
 The store keeps Kubernetes objects keyed by ``(kind, namespace, name)``
 with a monotonically increasing cluster-wide ``resourceVersion``,
 optimistic-concurrency checks on update, and an event stream that
-controllers consume (a simplified watch).
+watchers consume (a simplified watch).
 
 All operations are guarded by a reentrant lock so HTTP worker threads,
-controllers and the CVE scanner loop can share one store:
+watchers and the CVE scanner loop can share one store:
 :meth:`ObjectStore.snapshot` gives readers a torn-read-free view —
 every write that returned before the snapshot call is included.
 
@@ -97,8 +97,8 @@ class ObjectStore:
         self._objects: dict[tuple[str, str, str], K8sObject] = {}
         self._revision = 0
         self._watchers: list[Callable[[StoreEvent], None]] = []
-        # Reentrant: watch callbacks fire under the lock and controllers
-        # may re-enter the store from them.
+        # Reentrant: watch callbacks fire under the lock and may
+        # re-enter the store.
         self._lock = threading.RLock()
         self._wal = wal
         self._compact_every = (

@@ -386,9 +386,6 @@ class VulnerabilityDatabase:
     def api_exploitable(self) -> list[CVEEntry]:
         return [e for e in self._entries if e.api_exploitable]
 
-    def by_component(self, component: str) -> list[CVEEntry]:
-        return [e for e in self._entries if e.component == component]
-
     def components(self) -> list[str]:
         return sorted({e.component for e in self._entries})
 

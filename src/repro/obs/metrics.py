@@ -34,7 +34,8 @@ import re
 import threading
 import time
 from bisect import bisect_left
-from typing import Any, Callable, Iterator
+from itertools import accumulate
+from typing import Any, Callable, Iterable, Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -48,6 +49,7 @@ __all__ = [
     "MAX_LABEL_SETS",
     "MetricError",
     "MetricsRegistry",
+    "bucket_quantile",
     "delta",
     "new_registry",
     "set_exemplar_trace_provider",
@@ -95,6 +97,34 @@ class MetricError(ValueError):
 
 class CardinalityError(MetricError):
     """A metric exceeded :data:`MAX_LABEL_SETS` distinct label sets."""
+
+
+def bucket_quantile(buckets: Iterable[tuple[float, float]], q: float) -> float:
+    """Prometheus ``histogram_quantile`` over ``(le, cumulative count)``
+    pairs in ascending ``le`` order (the last may be ``+Inf``).
+
+    Locates the bucket holding rank ``q * total`` and interpolates
+    linearly between its bounds; a rank in the ``+Inf`` bucket clamps
+    to the highest finite bound.  No observations estimate 0.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise MetricError(f"quantile {q} out of [0, 1]")
+    buckets = list(buckets)
+    total = buckets[-1][1] if buckets else 0.0
+    if total <= 0:
+        return 0.0
+    rank = q * total
+    lower = previous = 0.0
+    for le, cumulative in buckets:
+        if cumulative >= rank and cumulative > previous:
+            if le == float("inf"):
+                return lower
+            within = (rank - previous) / (cumulative - previous)
+            return lower + (le - lower) * min(max(within, 0.0), 1.0)
+        if le != float("inf"):
+            lower = le
+        previous = cumulative
+    return lower
 
 
 def _format_value(value: float) -> str:
@@ -655,26 +685,11 @@ class Histogram(_Metric):
             return float(self._folded(key)[2])
 
     def _quantile(self, key: tuple[str, ...], q: float) -> float:
-        """Prometheus-style estimate: locate the owning bucket by rank
-        and interpolate linearly between its bounds."""
-        if not 0.0 <= q <= 1.0:
-            raise MetricError(f"quantile {q} out of [0, 1]")
         with self._lock:
-            counts, _total_sum, count = self._folded(key)
-            if count == 0:
-                return 0.0
-        rank = q * count
-        cumulative = 0.0
-        for idx, bucket_count in enumerate(counts):
-            cumulative += bucket_count
-            if cumulative >= rank and bucket_count:
-                if idx >= len(self.bounds):  # +Inf bucket: clamp to last bound
-                    return float(self.bounds[-1])
-                lower = self.bounds[idx - 1] if idx else 0.0
-                upper = self.bounds[idx]
-                within = (rank - (cumulative - bucket_count)) / bucket_count
-                return lower + (upper - lower) * min(max(within, 0.0), 1.0)
-        return float(self.bounds[-1])
+            counts = self._folded(key)[0]
+        return bucket_quantile(
+            zip(self.bounds + (float("inf"),), accumulate(counts)), q
+        )
 
     def merge_from(self, other: "Histogram") -> None:
         if other.bounds != self.bounds:
@@ -744,21 +759,6 @@ class Histogram(_Metric):
             plain = _render_labels(self.label_names, key)
             yield f"{name}_sum{plain} {_format_value(float(total))}"
             yield f"{name}_count{plain} {_format_value(float(count))}"
-
-    def exemplar_for(self, slowest: bool = True, **labels: str) -> \
-            "tuple[float, str, float] | None":
-        """The exemplar joining this histogram to a trace: with
-        *slowest* (default) the highest occupied bucket's, else the
-        lowest.  ``None`` when no traced observation was captured."""
-        key = tuple(str(labels[n]) for n in self.label_names) if labels else ()
-        slots = self._exemplars.get(key)
-        if not slots:
-            return None
-        ordered = reversed(slots) if slowest else iter(slots)
-        for exemplar in ordered:
-            if exemplar is not None:
-                return exemplar
-        return None
 
 
 class MetricsRegistry:

@@ -1,7 +1,7 @@
 """Unit tests for the enforcement proxy (complete mediation)."""
 
 from repro.core.pipeline import generate_policy
-from repro.core.proxy import KubeFenceProxy
+from repro.core.proxy import KubeFenceProxy, MultiPolicyProxy
 from repro.helm.chart import render_chart
 from repro.k8s.apiserver import ApiRequest, Cluster, User
 from repro.operators import get_chart
@@ -273,3 +273,46 @@ class TestFailStaticDegradation:
         injector.plan = FaultPlan(name="dark", error_rate=1.0)
         proxy.submit(ApiRequest.from_manifest(manifest, operator, "update"))
         assert proxy.submit(read).code == 503  # no stale cache in fail-closed
+
+
+class TestMultiPolicyProxy:
+    def test_two_operators_one_proxy(self):
+        cluster = Cluster()
+        charts = {name: get_chart(name) for name in ("nginx", "postgresql")}
+        proxy = MultiPolicyProxy(
+            cluster.api,
+            {f"{name}-operator": generate_policy(chart) for name, chart in charts.items()},
+        )
+        client = OperatorClient(proxy)
+        for chart in charts.values():
+            assert client.deploy_chart(chart).all_ok
+
+        # nginx's identity cannot write postgres's kinds.
+        statefulset = next(m for m in render_chart(charts["postgresql"])
+                           if m["kind"] == "StatefulSet")
+        cross = client.submit_manifest("nginx", statefulset, verb="update")
+        assert cross.code == 403
+
+    def test_unbound_identity_default_denied(self):
+        cluster = Cluster()
+        proxy = MultiPolicyProxy(cluster.api, {})
+        manifest = {"apiVersion": "v1", "kind": "ConfigMap",
+                    "metadata": {"name": "c"}, "data": {}}
+        response = OperatorClient(proxy, username="stranger").submit_manifest(
+            "stranger", manifest
+        )
+        assert response.code == 403
+        assert proxy.unbound_denials
+
+    def test_unbound_reads_pass_with_read_through(self):
+        cluster = Cluster()
+        proxy = MultiPolicyProxy(cluster.api, {})
+        response = proxy.submit(ApiRequest("list", "Pod", User("auditor")))
+        assert response.ok
+
+    def test_bind_later(self):
+        cluster = Cluster()
+        proxy = MultiPolicyProxy(cluster.api, {})
+        chart = get_chart("nginx")
+        proxy.bind("nginx-operator", generate_policy(chart))
+        assert OperatorClient(proxy).deploy_chart(chart).all_ok

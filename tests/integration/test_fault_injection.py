@@ -2,8 +2,8 @@
 
 A security proxy that crashes, hangs, or fails open under malformed
 input is itself an attack surface.  These tests throw hostile and
-broken inputs at every layer: the validator, the in-process proxy, the
-HTTP topology, and the operator runtime under a flaky transport.
+broken inputs at every layer: the validator, the in-process proxy and
+the HTTP topology.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.pipeline import generate_policy
 from repro.core.proxy import HttpKubeFenceProxy, KubeFenceProxy
-from repro.k8s.apiserver import ApiRequest, ApiResponse, Cluster, User
+from repro.k8s.apiserver import ApiRequest, Cluster, User
 from repro.k8s.errors import ApiError
 from repro.k8s.http import HttpApiServer
 from repro.operators import get_chart
@@ -297,54 +297,3 @@ class TestMalformedFramingFailsClosed:
                         if m["kind"] == "Service")
         status, _ = HttpClient(proxy.base_url).apply(manifest)
         assert status == 201
-
-
-class FlakyTransport:
-    """Fails every other request with a 503 (control-plane hiccups)."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def submit(self, request: ApiRequest) -> ApiResponse:
-        self.calls += 1
-        if self.calls % 2 == 0:
-            return ApiResponse.from_error(
-                ApiError(503, "ServiceUnavailable", "etcd leader election in progress")
-            )
-        return self.inner.submit(request)
-
-
-class TestRuntimeUnderFaults:
-    def test_operator_retries_failed_repairs(self, validator):
-        """A reconcile that hits a 503 leaves the resource dirty, so
-        the next loop iteration repairs it -- at-least-once semantics."""
-        from repro.operators.runtime import OperatorRuntime
-
-        chart = get_chart("nginx")
-        cluster = Cluster()
-        flaky = FlakyTransport(KubeFenceProxy(cluster.api, validator))
-        runtime = OperatorRuntime(chart, flaky, cluster.store)
-
-        # Install: odd-numbered calls succeed, so retry until all live.
-        for _ in range(6):
-            missing = [
-                key for key in runtime.desired
-                if not cluster.store.exists(key[0], "default", key[1])
-            ]
-            if not missing:
-                break
-            runtime.install()  # re-creates; conflicts are fine
-        runtime._dirty.clear()
-
-        cluster.store.delete("Deployment", "default", "nginx-nginx")
-        for _ in range(4):
-            actions = runtime.reconcile()
-            if not actions:
-                break
-            if all(a.response.ok for a in actions):
-                break
-            for action in actions:
-                if not action.response.ok:
-                    runtime._dirty.add((action.kind, action.name))
-        assert cluster.store.exists("Deployment", "default", "nginx-nginx")
