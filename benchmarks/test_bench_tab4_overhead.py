@@ -76,12 +76,13 @@ def test_proxied_request_roundtrip(benchmark, validators):
     proxy.submit(ApiRequest.from_manifest(deployment, User.admin(), "create"))
     request = ApiRequest.from_manifest(deployment, User.admin(), "update")
 
-    proxy.stats.reset()  # drop the warmup create from the window
-    before = proxy.stats.snapshot()
+    registry = proxy.stats.registry
+    registry.reset()  # drop the warmup create from the window
+    before = registry.snapshot()
     response = benchmark(proxy.submit, request)
     assert response.ok
 
-    window = delta(before, proxy.stats.snapshot())
+    window = delta(before, registry.snapshot())
     requests_in_window = window.get("kubefence_requests_total", 0)
     assert requests_in_window >= 1
     assert window.get("kubefence_requests_validated_total", 0) == requests_in_window

@@ -61,9 +61,11 @@ def main() -> None:
             status, body = client.apply(bad)
             print(f"\nattack over HTTP: status={status}")
             print(f"  {body['message'][:120]}...")
-            print(f"proxy stats: {proxy.stats.requests_total} requests, "
-                  f"{proxy.stats.requests_denied} denied, "
-                  f"{proxy.stats.validation_seconds * 1000:.2f} ms total validation")
+            stats = proxy.stats
+            validation_ns = stats.latency_hit.sum + stats.latency_miss.sum
+            print(f"proxy stats: {stats.requests.value:.0f} requests, "
+                  f"{stats.denied.value:.0f} denied, "
+                  f"{validation_ns / 1e6:.2f} ms total validation")
 
 
 if __name__ == "__main__":

@@ -16,8 +16,8 @@ models the client-to-control-plane link of the paper's two-VM testbed;
 it is applied identically to both configurations, so the *absolute*
 increase attributable to KubeFence is still honestly measured.
 
-Counters ride the observability layer (:mod:`repro.obs`): per-proxy
-``ProxyStats`` registries are merged across repetitions and the
+Counters ride the observability layer (:mod:`repro.obs`): the
+per-proxy metrics registries are merged across repetitions and the
 resulting window snapshot is attached to each :class:`OverheadRow`, so
 Table IV's cache/latency columns are the same series a ``/metrics``
 scrape would report.
@@ -32,9 +32,10 @@ from typing import Any, Callable
 
 from repro.core.enforcement import Validator
 from repro.core.pipeline import generate_policy
-from repro.core.proxy import KubeFenceProxy, ProxyStats
+from repro.core.proxy import KubeFenceProxy
 from repro.helm.chart import Chart, render_chart
 from repro.k8s.apiserver import ApiRequest, ApiResponse, Cluster
+from repro.obs import MetricsRegistry
 from repro.operators.client import DirectTransport, OperatorClient
 from repro.rbac import RBACAuthorizer, infer_policy
 
@@ -65,11 +66,13 @@ class OverheadRow:
     #: aggregated proxy counters across repetitions (where time goes).
     cache_hits: int = 0
     cache_misses: int = 0
+    #: bucket estimates over ``kubefence_validation_latency_ns{outcome="miss"}``
+    #: (full validations), the figure ``/metrics`` consumers compute.
     validation_ns_p50: float = 0.0
     validation_ns_p99: float = 0.0
     #: mean gate latency over *all* validated requests: cache hits
     #: contribute their lookup cost rather than being dropped, so this
-    #: is the honest Table IV mean (see ProxyStats.validation_ns_mean).
+    #: is the honest Table IV mean.
     validation_ns_mean: float = 0.0
     #: windowed metrics delta for the KubeFence arm (registry series ->
     #: increment over the measurement window), for the obs trajectory.
@@ -160,22 +163,25 @@ def measure_overhead(
 
     rbac_samples = _time_deploys(rbac_client, chart, config.repetitions)
     kf_samples = _time_deploys(kubefence_client, chart, config.repetitions)
-    # Fold the per-proxy registries into one façade: the
-    # cross-repetition Table IV totals.
-    totals = ProxyStats()
+    # Fold the per-proxy registries into one: the cross-repetition
+    # Table IV totals.
+    totals = MetricsRegistry()
     for proxy in proxies:
-        totals.merge(proxy.stats)
+        totals.merge_from(proxy.stats.registry)
+    latency = totals.histogram("kubefence_validation_latency_ns", labels=("outcome",))
+    hit, miss = latency.labels(outcome="hit"), latency.labels(outcome="miss")
+    observed = hit.count + miss.count
     return OverheadRow(
         operator=chart.name,
         rbac_ms_mean=statistics.fmean(rbac_samples),
         rbac_ms_std=statistics.pstdev(rbac_samples),
         kubefence_ms_mean=statistics.fmean(kf_samples),
         kubefence_ms_std=statistics.pstdev(kf_samples),
-        cache_hits=totals.cache_hits,
-        cache_misses=totals.cache_misses,
-        validation_ns_p50=totals.validation_ns_p50,
-        validation_ns_p99=totals.validation_ns_p99,
-        validation_ns_mean=totals.validation_ns_mean,
+        cache_hits=int(totals.counter("kubefence_cache_hits_total").value),
+        cache_misses=int(totals.counter("kubefence_cache_misses_total").value),
+        validation_ns_p50=miss.quantile(0.50),
+        validation_ns_p99=miss.quantile(0.99),
+        validation_ns_mean=(hit.sum + miss.sum) / observed if observed else 0.0,
         metrics_window=totals.snapshot(),
     )
 

@@ -100,7 +100,12 @@ def render_table4(rows: list[OverheadRow]) -> str:
 
     Besides the paper's RTT columns, each row reports where the
     KubeFence time goes: decision-cache hits/misses and the p50/p99 of
-    the per-request validation latency.
+    the per-request validation latency of full validations.  The
+    p50/p99 are read from ``kubefence_validation_latency_ns{outcome="miss"}``
+    through :func:`repro.obs.metrics.bucket_quantile`, the
+    bucket-interpolated estimate ``repro top`` and any Prometheus
+    ``histogram_quantile`` over ``/metrics`` compute -- not from a
+    separate sample ring.
     """
     body = [
         [

@@ -233,7 +233,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
     if args.json:
         print(_json.dumps({
-            "metrics": proxy.stats.snapshot(),
+            "metrics": proxy.stats.registry.snapshot(),
             "apiserver_metrics": cluster.api.metrics.snapshot(),
             "traces": [t.to_dict() for t in TRACES.traces()[-args.traces:]],
         }, indent=2, sort_keys=True))

@@ -25,7 +25,7 @@ validation entirely.
 Observability: every request runs under a :mod:`repro.obs` trace
 (spans ``proxy.validate``, ``cache.lookup``, ``engine.match`` here;
 ``admission.chain``/``store.commit`` downstream in the API server), and
-:class:`ProxyStats` is a thin façade over a per-proxy
+:class:`ProxyStats` holds the proxy's instruments on a per-proxy
 :class:`~repro.obs.MetricsRegistry` -- the HTTP proxy serves it at
 ``GET /metrics`` in Prometheus text format.  Denials are labeled by
 ``operator``/``kind``/``reason`` so Table III mitigation runs can be
@@ -65,6 +65,7 @@ from repro.k8s.http import (
     rest_verb,
 )
 from repro.obs import (
+    CardinalityError,
     PhaseClock,
     current_trace_id,
     new_registry,
@@ -106,9 +107,6 @@ BAD_UPSTREAM_BODY = ApiError(
     502, "BadGateway", "upstream returned an unparseable body"
 )
 
-#: Ring-buffer size for per-request validation latency samples.
-_MAX_LATENCY_SAMPLES = 8192
-
 #: Default decision-cache capacity (entries, i.e. distinct bodies).
 DEFAULT_DECISION_CACHE_SIZE = 1024
 
@@ -149,275 +147,89 @@ def denial_reason(violations: Iterable[Any]) -> str:
 
 
 class ProxyStats:
-    """Runtime counters (overhead analysis, Table IV).
+    """The proxy's instruments, on a per-proxy
+    :class:`~repro.obs.MetricsRegistry` (the HTTP proxy serves it at
+    ``GET /metrics``).
 
-    Since the observability layer landed this is a thin façade over a
-    per-proxy :class:`~repro.obs.MetricsRegistry`: every counter the
-    old dataclass carried is now a named metric (``kubefence_*``)
-    scrapeable from ``/metrics``, while the attribute API
-    (``stats.cache_hits`` etc.) is preserved for callers.  Latency is
-    recorded twice: into a labeled Prometheus histogram
-    (``kubefence_validation_latency_ns{outcome="hit"|"miss"}``) and,
-    for misses, into a bounded sample ring for exact percentile math.
-
-    Cache **hits** record their (cheap) lookup latency as their own
-    sample instead of being silently dropped -- otherwise the Table IV
-    mean-latency math over ``requests_validated`` would be skewed
+    Instruments only: readers use the registry (``snapshot``,
+    ``merge_from``, ``expose``) or a series handle's own
+    ``value``/``count``/``quantile``.  Unlabeled counters are held as
+    their series handle; labeled families as the metric, whose
+    ``labels(...)`` memoises each series.  Cache **hits** record their
+    lookup latency under ``outcome="hit"`` rather than being dropped,
+    so mean-latency math over the validated writes is not skewed
     toward the miss cost.
     """
 
     def __init__(self, registry: Any | None = None):
         reg = registry if registry is not None else new_registry()
         self.registry = reg
-        # Hot instruments write through lock-free per-thread cells
-        # (:meth:`_Metric.local`), folded at scrape time.
-        self._requests = reg.counter(
+        self.requests = reg.counter(
             "kubefence_requests_total", "API requests intercepted by the proxy."
-        ).local()
-        self._validated = reg.counter(
+        ).labels()
+        self.validated = reg.counter(
             "kubefence_requests_validated_total",
             "Write requests whose body was checked against the policy.",
-        ).local()
-        self._denied = reg.counter(
+        ).labels()
+        self.denied = reg.counter(
             "kubefence_requests_denied_total", "Requests blocked by the policy."
-        )
-        self._denials = reg.counter(
+        ).labels()
+        self.denials = reg.counter(
             "kubefence_denials_total",
             "Denials by workload operator, resource kind, and reason category.",
             labels=("operator", "kind", "reason"),
             max_series=256,
         )
-        self._cache_hits = reg.counter(
+        self.cache_hits = reg.counter(
             "kubefence_cache_hits_total", "Decision-cache hits (validation skipped)."
-        ).local()
-        self._cache_misses = reg.counter(
+        ).labels()
+        self.cache_misses = reg.counter(
             "kubefence_cache_misses_total", "Decision-cache misses."
-        ).local()
-        self._conn_opened = reg.counter(
+        ).labels()
+        self.connections_opened = reg.counter(
             "kubefence_connections_opened_total",
             "Upstream keep-alive connections opened (HTTP proxy).",
-        )
-        self._conn_reused = reg.counter(
+        ).labels()
+        self.connections_reused = reg.counter(
             "kubefence_connections_reused_total",
             "Upstream keep-alive connection reuses (HTTP proxy).",
-        )
+        ).labels()
         # -- resilience layer (docs/RESILIENCE.md) -------------------------
-        self._retries = reg.counter(
+        self.retries = reg.counter(
             "kubefence_retries_total",
             "Upstream retries performed by the resilience layer.",
-        )
-        self._breaker_state = reg.gauge(
+        ).labels()
+        self.breaker_state = reg.gauge(
             "kubefence_breaker_state",
             "Upstream circuit-breaker state (0=closed, 1=open, 2=half-open).",
         )
-        self._breaker_transitions = reg.counter(
+        self.breaker_transitions = reg.counter(
             "kubefence_breaker_transitions_total",
             "Circuit-breaker transitions, by target state.",
             labels=("state",),
         )
-        self._degraded = reg.counter(
+        self.degraded = reg.counter(
             "kubefence_degraded_requests_total",
             "Requests answered in degraded mode while the upstream was "
             "unavailable, by outcome (refused = fail-closed 503, "
             "stale-read = fail-static cached GET).",
             labels=("mode",),
         )
-        self._upstream_errors = reg.counter(
+        self.upstream_errors = reg.counter(
             "kubefence_upstream_errors_total",
             "Upstream failures observed by the forwarding path, by kind.",
             labels=("kind",),
             max_series=16,
         )
-        self._latency = reg.histogram(
+        latency = reg.histogram(
             "kubefence_validation_latency_ns",
             "Validation-gate latency per write request, by cache outcome.",
             labels=("outcome",),
         )
-        # Pre-bound hot series: labels() resolution off the request path.
-        self._latency_hit = self._latency.local(outcome="hit")
-        self._latency_miss = self._latency.local(outcome="miss")
-        self._http = reg.counter(
-            "http_requests_total",
-            "HTTP requests served, by method and status code.",
-            labels=("method", "code"),
-            max_series=128,
-        )
-        self._http_bound: dict[tuple[str, str], Any] = {}
-        self._denial_bound: dict[tuple[str, str, str], Any] = {}
-        # Per-request phase attribution (kubefence_phase_ns_total):
-        # a bound-``inc`` per phase.
+        self.latency_hit = latency.labels(outcome="hit")
+        self.latency_miss = latency.labels(outcome="miss")
+        # Per-request phase attribution (kubefence_phase_ns_total).
         self.phases = PhaseClock(reg)
-        #: per-request validation latency samples (ns) of full
-        #: validations (cache misses), a bounded ring.
-        self.validation_ns_samples: list[int] = []
-        self._sample_cursor = 0
-        # The unconditional once-per-request counters are the write
-        # handles' own ``inc``: no wrapper frame on the hot path.
-        self.count_request = self._requests.inc
-        self.count_validated = self._validated.inc
-
-    # -- mutation (proxy internals only) -----------------------------------
-
-    def count_denial(self, operator: str, kind: str, reason: str) -> None:
-        self._denied.inc()
-        # Precomputed {operator,kind,reason} handles: repeat denials
-        # (the interesting, attack-shaped case) skip labels() parsing
-        # and the registry lock entirely.
-        key = (operator or "?", kind or "?", reason or "other")
-        bound = self._denial_bound.get(key)
-        if bound is None:
-            bound = self._denials.local(
-                operator=key[0], kind=key[1], reason=key[2]
-            )
-            self._denial_bound[key] = bound
-        bound.inc()
-
-    def count_cache(self, hit: bool) -> None:
-        (self._cache_hits if hit else self._cache_misses).inc()
-
-    def count_connection(self, reused: bool) -> None:
-        (self._conn_reused if reused else self._conn_opened).inc()
-
-    def count_retry(self) -> None:
-        self._retries.inc()
-
-    def count_degraded(self, mode: str) -> None:
-        self._degraded.labels(mode=mode).inc()
-
-    def count_upstream_error(self, kind: str) -> None:
-        self._upstream_errors.labels(kind=kind).inc()
-
-    def record_breaker_transition(self, new_state: str) -> None:
-        self._breaker_state.set(BREAKER_STATE_CODES.get(new_state, -1))
-        self._breaker_transitions.labels(state=new_state).inc()
-
-    def count_http_request(self, method: str, code: Any) -> None:
-        key = (str(method or "?"), str(getattr(code, "value", code)))
-        bound = self._http_bound.get(key)
-        if bound is None:
-            bound = self._http.local(method=key[0], code=key[1])
-            self._http_bound[key] = bound
-        bound.inc()
-
-    def record_validation_ns(self, elapsed_ns: int, cache_hit: bool = False) -> None:
-        # Phase attribution rides the clock reads the gate already
-        # takes: a cache hit's whole cost is the probe, a miss's is
-        # the compiled validation (its probe share, when a cache is
-        # bound, is stamped separately by ValidationGate.check).
-        if cache_hit:
-            self.phases.cache_probe(elapsed_ns)
-            self._latency_hit.observe(elapsed_ns)
-        else:
-            self.phases.validation(elapsed_ns)
-            self._latency_miss.observe(elapsed_ns)
-            samples = self.validation_ns_samples
-            if len(samples) < _MAX_LATENCY_SAMPLES:
-                samples.append(elapsed_ns)
-            else:
-                samples[self._sample_cursor % _MAX_LATENCY_SAMPLES] = elapsed_ns
-            self._sample_cursor += 1
-
-    # -- read API (unchanged names) ----------------------------------------
-
-    @property
-    def requests_total(self) -> int:
-        return int(self._requests.value)
-
-    @property
-    def requests_validated(self) -> int:
-        return int(self._validated.value)
-
-    @property
-    def requests_denied(self) -> int:
-        return int(self._denied.value)
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self._cache_hits.value)
-
-    @property
-    def cache_misses(self) -> int:
-        return int(self._cache_misses.value)
-
-    @property
-    def connections_opened(self) -> int:
-        return int(self._conn_opened.value)
-
-    @property
-    def connections_reused(self) -> int:
-        return int(self._conn_reused.value)
-
-    @property
-    def retries_total(self) -> int:
-        return int(self._retries.value)
-
-    @property
-    def validation_seconds(self) -> float:
-        """Total wall time spent in the validation gate (hits + misses)."""
-        return (self._latency_hit.sum + self._latency_miss.sum) / 1e9
-
-    @property
-    def validation_ns_mean(self) -> float:
-        """Mean gate latency over *all* validated requests -- hits
-        contribute their lookup cost, so this is the honest Table IV
-        mean rather than the miss-only figure."""
-        hit, miss = self._latency_hit, self._latency_miss
-        observed = hit.count + miss.count
-        return (hit.sum + miss.sum) / observed if observed else 0.0
-
-    @staticmethod
-    def _percentile(samples: list[int], q: float) -> float:
-        if not samples:
-            return 0.0
-        ordered = sorted(samples)
-        index = max(0, min(len(ordered) - 1, round(q * (len(ordered) - 1))))
-        return float(ordered[index])
-
-    def _percentile_ns(self, q: float) -> float:
-        return self._percentile(self.validation_ns_samples, q)
-
-    @property
-    def validation_ns_p50(self) -> float:
-        return self._percentile_ns(0.50)
-
-    @property
-    def validation_ns_p99(self) -> float:
-        return self._percentile_ns(0.99)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        probed = self.cache_hits + self.cache_misses
-        return self.cache_hits / probed if probed else 0.0
-
-    # -- windows and aggregation -------------------------------------------
-
-    def snapshot(self) -> dict[str, float]:
-        """Flat ``{series: value}`` view; diff two snapshots with
-        :func:`repro.obs.delta` to measure a window instead of
-        absolute counters."""
-        return self.registry.snapshot()
-
-    def reset(self) -> None:
-        """Zero every counter/histogram and drop the sample ring."""
-        self.registry.reset()
-        self.validation_ns_samples.clear()
-        self._sample_cursor = 0
-
-    def merge(self, other: "ProxyStats") -> None:
-        """Fold *other*'s counters into this instance (aggregation
-        across repetitions/proxies for the overhead tables)."""
-        self.registry.merge_from(other.registry)
-        room = _MAX_LATENCY_SAMPLES - len(self.validation_ns_samples)
-        if room > 0:
-            self.validation_ns_samples.extend(other.validation_ns_samples[:room])
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ProxyStats(requests_total={self.requests_total}, "
-            f"requests_validated={self.requests_validated}, "
-            f"requests_denied={self.requests_denied}, "
-            f"cache_hits={self.cache_hits}, cache_misses={self.cache_misses})"
-        )
 
 
 def upstream_failure_kind(failure: Any) -> str:
@@ -472,10 +284,10 @@ class ValidationGate:
         Every validated request records a latency sample: cache hits
         record their lookup cost (``outcome="hit"``), misses the full
         engine walk (``outcome="miss"``) -- so mean-latency math over
-        ``requests_validated`` is not skewed toward the miss cost.
+        the validated writes is not skewed toward the miss cost.
         """
         stats = self.stats
-        stats.count_validated()
+        stats.validated.inc()
         # One binding per request: the policy that judges the body is
         # the policy whose revision tags the cached result.  Reading
         # either again after validate() would let an install() or an
@@ -492,13 +304,14 @@ class ValidationGate:
                 key = fast_body_key(body)
                 cached = cache.get(key, revision) if key is not None else None
             if cached is not None:
-                stats.count_cache(hit=True)
-                stats.record_validation_ns(
-                    time.perf_counter_ns() - lookup_started, cache_hit=True
-                )
+                stats.cache_hits.inc()
+                # A hit's whole cost is the probe.
+                elapsed_ns = time.perf_counter_ns() - lookup_started
+                stats.phases.cache_probe(elapsed_ns)
+                stats.latency_hit.observe(elapsed_ns)
                 return cached
             if key is not None:
-                stats.count_cache(hit=False)
+                stats.cache_misses.inc()
         started = time.perf_counter_ns()
         if cache is not None:
             # The probed-miss path already holds both clock reads; the
@@ -506,7 +319,9 @@ class ValidationGate:
             stats.phases.cache_probe(started - lookup_started)
         with span("engine.match"):
             result = validator.validate(body)
-        stats.record_validation_ns(time.perf_counter_ns() - started)
+        elapsed_ns = time.perf_counter_ns() - started
+        stats.phases.validation(elapsed_ns)
+        stats.latency_miss.observe(elapsed_ns)
         if key is not None and cache is not None:
             cache.put(key, result, revision)
         return result
@@ -601,19 +416,22 @@ class KubeFenceProxy:
         self._read_cache: StaleReadCache | None = None
         if resilience is not None:
             stats = self.stats
-            self.breaker = resilience.make_breaker(
-                on_transition=lambda _old, new: stats.record_breaker_transition(new)
-            )
+
+            def on_transition(_old: str, new: str) -> None:
+                stats.breaker_state.set(BREAKER_STATE_CODES.get(new, -1))
+                stats.breaker_transitions.labels(state=new).inc()
+
+            self.breaker = resilience.make_breaker(on_transition=on_transition)
             self._guard = UpstreamGuard(
                 resilience.retry,
                 self.breaker,
                 # Timeouts and resets are OSErrors; a truncated reply
                 # (IncompleteRead) is an HTTPException.
                 retry_on=(http.client.HTTPException, OSError),
-                on_retry=lambda _attempt, _delay: stats.count_retry(),
-                on_failure=lambda failure: stats.count_upstream_error(
-                    upstream_failure_kind(failure)
-                ),
+                on_retry=lambda _attempt, _delay: stats.retries.inc(),
+                on_failure=lambda failure: stats.upstream_errors.labels(
+                    kind=upstream_failure_kind(failure)
+                ).inc(),
             )
             if resilience.degraded_mode == "fail-static":
                 self._read_cache = StaleReadCache(resilience.read_cache_size)
@@ -632,7 +450,7 @@ class KubeFenceProxy:
         request trace (the API server joins it, so the audit event
         carries the same trace id)."""
         with trace("proxy.request", trace_id=request.trace_id):
-            self.stats.count_request()
+            self.stats.requests.inc()
             bus = self.events
             started = time.perf_counter_ns() if bus.enabled else 0
             if request.verb in _WRITE_VERBS and isinstance(request.body, dict):
@@ -724,7 +542,7 @@ class KubeFenceProxy:
             )
         except (CircuitOpenError, UpstreamUnavailable, DeadlineExceeded) as err:
             if isinstance(err, CircuitOpenError):
-                self.stats.count_upstream_error("breaker-open")
+                self.stats.upstream_errors.labels(kind="breaker-open").inc()
             response = self._degrade(request, err)
         else:
             if (self._read_cache is not None and response.code == 200
@@ -762,11 +580,11 @@ class KubeFenceProxy:
             )
             if cached is not None:
                 age, payload = cached
-                self.stats.count_degraded("stale-read")
+                self.stats.degraded.labels(mode="stale-read").inc()
                 response = ApiResponse(code=200, body=deep_copy(payload))
                 response.degraded = ("stale-read", age)
                 return response
-        self.stats.count_degraded("refused")
+        self.stats.degraded.labels(mode="refused").inc()
         response = ApiResponse.from_error(ApiError(
             503, "ServiceUnavailable",
             f"KubeFence: upstream API server unavailable; failing closed ({err})",
@@ -777,12 +595,12 @@ class KubeFenceProxy:
     def _deny(
         self, request: ApiRequest, result: ValidationResult, started: int
     ) -> ApiResponse:
-        """Count, record and publish the denial; answer 403 naming the
-        offending fields (paper Sec. V-B)."""
+        """Record, publish and count the denial; answer 403 naming the
+        offending fields (paper Sec. V-B).  The record and the event
+        never depend on the metric write: a label set the cardinality
+        guard refuses is counted in ``repro_label_sets_dropped_total``
+        and the denial still leaves its audit trail."""
         reason = denial_reason(result.violations)
-        self.stats.count_denial(
-            operator=self.validator.operator, kind=request.kind, reason=reason
-        )
         record = _denial(request, result.violations)
         self.denials.append(record)
         if self.events.enabled:
@@ -790,6 +608,18 @@ class KubeFenceProxy:
                 request, "deny", 403, started,
                 {"reason": reason, "violations": list(record.violations)},
             )
+        stats = self.stats
+        stats.denied.inc()
+        try:
+            stats.denials.labels(
+                operator=self.validator.operator or "?",
+                # The kind comes from the client's body: one bounded
+                # value for kinds the GVK registry does not know.
+                kind=request.kind if request.kind in default_registry else "other",
+                reason=reason,
+            ).inc()
+        except CardinalityError:
+            pass
         return ApiResponse.from_error(ApiError.forbidden(
             f"KubeFence policy for workload {self.validator.operator!r} denied "
             f"{request.verb} of {request.kind}/{record.name}: {result.summary()}",
@@ -814,7 +644,7 @@ class HttpUpstream:
     like :class:`APIServer`, over one pooled keep-alive
     ``http.client.HTTPConnection`` per worker thread (both ends speak
     HTTP/1.1), so the hop does not pay a TCP handshake per request;
-    ``ProxyStats.connections_opened/reused`` surface the pool."""
+    ``kubefence_connections_{opened,reused}_total`` surface the pool."""
 
     def __init__(self, base_url: str, request_timeout: float):
         split = urlsplit(base_url)
@@ -839,7 +669,9 @@ class HttpUpstream:
         conn.timeout = timeout
         if conn.sock is not None:
             conn.sock.settimeout(timeout)
-        self.stats.count_connection(reused=conn.sock is not None)
+        stats = self.stats
+        (stats.connections_reused if conn.sock is not None
+         else stats.connections_opened).inc()
         return conn
 
     def handle(self, request: WireRequest) -> ApiResponse:
@@ -872,7 +704,7 @@ class HttpUpstream:
         try:
             return ApiResponse(reply.status, json.loads(data or b"{}"))
         except ValueError:
-            self.stats.count_upstream_error("bad-payload")
+            self.stats.upstream_errors.labels(kind="bad-payload").inc()
             return ApiResponse.from_error(BAD_UPSTREAM_BODY)
 
 
@@ -960,7 +792,6 @@ class HttpKubeFenceProxy(KubeFenceProxy, HttpService):
             (host, port), _ProxyHandler, self.stats.registry, "kubefence-proxy",
             {"policy-bound": lambda: self.validator is not None}, self.events,
             phases=self.stats.phases,
-            count_http_request=self.stats.count_http_request,
         )
 
 

@@ -171,7 +171,7 @@ def run_scenario(
             if get_path(spec, path, None):
                 report.fail_open += 1
 
-    snapshot = proxy.stats.snapshot()
+    snapshot = proxy.stats.registry.snapshot()
     report.retries = int(snapshot.get("kubefence_retries_total", 0))
     report.degraded_refused = int(
         snapshot.get('kubefence_degraded_requests_total{mode="refused"}', 0)

@@ -178,25 +178,13 @@ class APIServer:
             labels=("verb", "code"),
             max_series=256,
         )
-        # Hot-path write handles: lock-free per-thread cells, folded
-        # at scrape time (see _Metric.local).
         self._m_latency = self.metrics.histogram(
             "kubefence_apiserver_latency_ns",
             "Full request-pipeline latency (routing through audit).",
-        ).local()
+        ).labels()
         self._m_audit = self.metrics.counter(
             "kubefence_audit_events_total", "Audit events recorded."
-        ).local()
-        #: (verb, code) -> bound counter, so the hot path skips
-        #: labels() resolution on every request.
-        self._m_requests_bound: dict[tuple[str, str], Any] = {}
-        self._m_http = self.metrics.counter(
-            "http_requests_total",
-            "HTTP requests served, by method and status code.",
-            labels=("method", "code"),
-            max_series=128,
-        )
-        self._m_http_bound: dict[tuple[str, str], Any] = {}
+        ).labels()
         # Per-request phase attribution (kubefence_phase_ns_total).
         self.phases = PhaseClock(self.metrics)
 
@@ -228,16 +216,6 @@ class APIServer:
                 },
             )
         )
-
-    def count_http_request(self, method: str, code: Any) -> None:
-        """Access-log replacement: ``http_requests_total{method,code}``
-        (called from the HTTP front end's ``log_request``)."""
-        key = (str(method or "?"), str(getattr(code, "value", code)))
-        bound = self._m_http_bound.get(key)
-        if bound is None:
-            bound = self._m_http.local(method=key[0], code=key[1])
-            self._m_http_bound[key] = bound
-        bound.inc()
 
     # -- plugin management ---------------------------------------------------
 
@@ -272,12 +250,7 @@ class APIServer:
                 authed = time.perf_counter_ns()
             response = ApiResponse.from_error(err)
         elapsed_ns = time.perf_counter_ns() - started
-        key = (request.verb or "?", str(response.code))
-        bound = self._m_requests_bound.get(key)
-        if bound is None:
-            bound = self._m_requests.local(verb=key[0], code=key[1])
-            self._m_requests_bound[key] = bound
-        bound.inc()
+        self._m_requests.labels(verb=request.verb or "?", code=response.code).inc()
         self._m_latency.observe(elapsed_ns)
         self._audit(request, response, latency_ns=elapsed_ns)
         done = started + elapsed_ns

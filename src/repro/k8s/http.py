@@ -32,7 +32,7 @@ from repro.k8s.apiserver import APIServer, ApiRequest, ApiResponse, User
 from repro.k8s.errors import ApiError
 from repro.k8s.gvk import ResourceRegistry, registry as default_registry
 from repro.k8s.wal import crashpoint
-from repro.obs import PROFILER, TimeSeriesRing, obs_endpoint, trace
+from repro.obs import CardinalityError, PROFILER, TimeSeriesRing, obs_endpoint, trace
 
 #: Worker threads in the bounded frontend pool.  A worker serves one
 #: TCP connection at a time (HTTP/1.1 keep-alive loops inside
@@ -235,6 +235,11 @@ MAX_BODY_BYTES = 3 * 1024 * 1024
 #: Methods whose request must carry a body (and have it validated).
 _BODY_METHODS = frozenset({"POST", "PUT", "PATCH"})
 
+#: The ``method`` label values of ``http_requests_total``: the methods
+#: the handler serves, everything else (client-chosen, so unbounded)
+#: counts as ``"other"``.
+_SERVED_METHODS = frozenset({"GET", "HEAD", "POST", "PUT", "PATCH", "DELETE"})
+
 
 class JsonRequestHandler(BaseHTTPRequestHandler):
     """What the API-server and proxy frontends share: request framing,
@@ -252,8 +257,8 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     service: "HttpService"
     #: the component's :class:`~repro.obs.PhaseClock`
     phases: Any
-    #: ``(method, code)`` -> ``http_requests_total``
-    count_http_request: Callable[[str, Any], None]
+    #: the component's ``http_requests_total{method,code}`` counter
+    http_requests: Any
 
     # Silence the default stderr request logging; access logs are not
     # discarded, though -- log_request() routes them into the metrics
@@ -262,7 +267,17 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         pass
 
     def log_request(self, code: Any = "-", size: Any = "-") -> None:
-        self.count_http_request(getattr(self, "command", "?") or "?", code)
+        # Runs inside send_response, before the reply is written: a
+        # label set the cardinality guard refuses (counted in
+        # repro_label_sets_dropped_total) must not cost the reply.
+        method = getattr(self, "command", None)
+        try:
+            self.http_requests.labels(
+                method=method if method in _SERVED_METHODS else "other",
+                code=getattr(code, "value", code),
+            ).inc()
+        except CardinalityError:
+            pass
 
     def write_reply(
         self,
@@ -492,8 +507,16 @@ class HttpService:
         #: in-process metrics ring (served at /obs/timeseries, the
         #: ``repro top`` data source); ticking starts with the server.
         self.timeseries = TimeSeriesRing(registry)
+        http_requests = registry.counter(
+            "http_requests_total",
+            "HTTP requests served, by method and status code.",
+            labels=("method", "code"),
+            max_series=128,
+        )
         self._httpd = WorkerPoolHTTPServer(
-            address, type("BoundHandler", (handler,), {**bound, "service": self}),
+            address,
+            type("BoundHandler", (handler,),
+                 {**bound, "service": self, "http_requests": http_requests}),
             workers=workers, queue_size=queue_size,
         )
         self._thread: threading.Thread | None = None
@@ -549,7 +572,6 @@ class HttpApiServer(HttpService):
             {"store": lambda: api.store is not None},
             getattr(api, "event_bus", None), workers, queue_size,
             api=api, phases=api.phases, faults=fault_injector,
-            count_http_request=api.count_http_request,
         )
 
 

@@ -14,6 +14,16 @@ Design points:
 
 - **No dependencies.**  Everything is stdlib; the registry is safe for
   concurrent increments from the HTTP pool's worker threads.
+- **One store per series.**  ``labels(...)`` (alias ``local(...)``)
+  returns the series' one memoised handle.  A counter or histogram
+  handle holds per-thread cells: writes touch only the calling
+  thread's cell, with no lock, and every read (``value``, quantiles,
+  exposition, ``snapshot``, ``merge_from``) folds the cells.  The
+  unlabeled ``inc``/``observe``/``value`` go through the same handle.
+  Gauges are set, not accumulated, and keep a locked value.  Caveats:
+  ``reset()`` racing active writers may lose in-flight increments,
+  and a read racing a histogram observation may see ``sum``/``count``
+  skewed by one sample; both settle at quiescence.
 - **Bounded cardinality.**  Each metric rejects more than
   :data:`MAX_LABEL_SETS` distinct label combinations with a clear
   :class:`CardinalityError` -- a mislabeled denial reason must fail
@@ -148,56 +158,161 @@ def _render_labels(names: tuple[str, ...], values: tuple[str, ...],
     return "{" + inner + "}"
 
 
-class _Bound:
-    """An instrument bound to one concrete label-value tuple."""
+class _CounterSeries:
+    """One counter series: per-thread accumulation cells.
 
-    __slots__ = ("_metric", "_key")
+    ``inc`` touches only the calling thread's cell (one plain list slot
+    per writer thread, no lock, no CAS -- the GIL makes the float add
+    atomic enough); ``value`` sums every cell.  A thread binds its cell
+    under the registry lock on its first write.
+    """
 
-    def __init__(self, metric: "_Metric", key: tuple[str, ...]):
-        self._metric = metric
-        self._key = key
+    __slots__ = ("_name", "_lock", "_threads", "_cells")
 
-    def local(self) -> Any:
-        """A lock-free per-thread write handle for this series (see
-        :meth:`_Metric.local`)."""
-        return self._metric._local_for(self._key)
+    def __init__(self, metric: "_Metric"):
+        self._name = metric.name
+        self._lock = metric._lock
+        self._threads = threading.local()
+        self._cells: list[list[float]] = []
 
     def inc(self, amount: float = 1.0) -> None:
-        self._metric._inc(self._key, amount)
+        if amount < 0:
+            raise MetricError(f"counter {self._name!r} cannot decrease")
+        try:
+            cell = self._threads.cell
+        except AttributeError:
+            cell = self._bind_cell()
+        cell[0] += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._metric._inc(self._key, -amount)
-
-    def set(self, value: float) -> None:
-        self._metric._set(self._key, value)
-
-    def observe(self, value: float) -> None:
-        self._metric._observe(self._key, value)
+    def _bind_cell(self) -> list[float]:
+        cell = [0.0]
+        with self._lock:
+            self._cells.append(cell)
+        self._threads.cell = cell
+        return cell
 
     @property
     def value(self) -> float:
-        return self._metric._value(self._key)
+        return float(sum(cell[0] for cell in self._cells))
 
-    def quantile(self, q: float) -> float:
-        return self._metric._quantile(self._key, q)
+    def _zero(self) -> None:
+        for cell in self._cells:
+            cell[0] = 0.0
+
+
+class _HistogramSeries:
+    """One histogram series: per-thread ``[bucket_counts, sum, count]``
+    cells, folded at read time, plus the latest traced observation per
+    bucket (exemplars, emitted only in OpenMetrics exposition)."""
+
+    __slots__ = ("_lock", "_bounds", "_threads", "_cells", "_exemplars")
+
+    def __init__(self, metric: "Histogram"):
+        self._lock = metric._lock
+        self._bounds = metric.bounds
+        self._threads = threading.local()
+        self._cells: list[list[Any]] = []
+        self._exemplars: list[Any] = [None] * (len(metric.bounds) + 1)
+
+    def observe(self, value: float) -> None:
+        try:
+            cell = self._threads.cell
+        except AttributeError:
+            cell = self._bind_cell()
+        idx = bisect_left(self._bounds, value)
+        cell[0][idx] += 1
+        cell[1] += value
+        cell[2] += 1
+        trace_id = _TRACE_PROVIDER()
+        if trace_id:
+            # GIL-atomic slot assignment: latest traced observation.
+            self._exemplars[idx] = (float(value), trace_id, time.time())
+
+    def _bind_cell(self) -> list[Any]:
+        cell = [[0] * (len(self._bounds) + 1), 0.0, 0]
+        with self._lock:
+            self._cells.append(cell)
+        self._threads.cell = cell
+        return cell
+
+    def _add(self, counts: list[int], total: float, count: int) -> None:
+        """Fold another series' totals into the calling thread's cell
+        (registry merges)."""
+        cell = getattr(self._threads, "cell", None) or self._bind_cell()
+        for idx, n in enumerate(counts):
+            cell[0][idx] += n
+        cell[1] += total
+        cell[2] += count
+
+    def _folded(self) -> tuple[list[int], float, int]:
+        """``(bucket_counts, sum, count)`` across every thread's cell."""
+        counts = [0] * (len(self._bounds) + 1)
+        total, count = 0.0, 0
+        for cell in self._cells:
+            for idx, n in enumerate(cell[0]):
+                if n:
+                    counts[idx] += n
+            total += cell[1]
+            count += cell[2]
+        return counts, total, count
 
     @property
     def sum(self) -> float:
-        return self._metric._sum_of(self._key)
+        return float(self._folded()[1])
 
     @property
     def count(self) -> float:
-        return self._metric._count_of(self._key)
+        return float(self._folded()[2])
+
+    def quantile(self, q: float) -> float:
+        return bucket_quantile(
+            zip(self._bounds + (float("inf"),), accumulate(self._folded()[0])), q
+        )
+
+    def _zero(self) -> None:
+        for cell in self._cells:
+            cell[0] = [0] * (len(self._bounds) + 1)
+            cell[1] = 0.0
+            cell[2] = 0
+
+
+class _GaugeSeries:
+    """One gauge series: a single value written under the registry
+    lock (gauges are set, not accumulated, so they have no per-thread
+    cells)."""
+
+    __slots__ = ("_lock", "_value")
+
+    def __init__(self, metric: "_Metric"):
+        self._lock = metric._lock
+        self._value = 0.0
+
+    def set(self, value: float) -> None:
+        with self._lock:
+            self._value = float(value)
+
+    def inc(self, amount: float = 1.0) -> None:
+        with self._lock:
+            self._value += amount
+
+    def dec(self, amount: float = 1.0) -> None:
+        self.inc(-amount)
+
+    @property
+    def value(self) -> float:
+        return self._value
+
+    def _zero(self) -> None:
+        self._value = 0.0
 
 
 class _Metric:
-    """Common storage: one series per label-value tuple."""
+    """Common storage: one memoised series handle per label-value
+    tuple.  ``labels(...)`` returns that handle; the unlabeled
+    ``inc``/``observe``/``value``/... go through the handle at ``()``."""
 
     kind = "untyped"
-
-    #: Per-kind local-handle class (thread-local accumulation cells);
-    #: ``None`` means the kind has no lock-free write path.
-    _local_cls: Any = None
+    _series_cls: Any = None
 
     def __init__(self, name: str, help: str, label_names: tuple[str, ...],
                  lock: threading.RLock, max_series: int = MAX_LABEL_SETS,
@@ -215,30 +330,27 @@ class _Metric:
         self._drop_warned = False
         self._lock = lock
         self._series: dict[tuple[str, ...], Any] = {}
-        #: key -> list of local handles whose per-thread cells fold
-        #: into the stored series at read time (scrape-time merge).
-        self._locals: dict[tuple[str, ...], list[Any]] = {}
         if not self.label_names:
-            self._series[()] = self._new_series()
+            self._series[()] = self._series_cls(self)
 
     # -- series management -------------------------------------------------
 
-    def _new_series(self) -> Any:
-        raise NotImplementedError
-
     def _series_for(self, key: tuple[str, ...]) -> Any:
         series = self._series.get(key)
-        if series is None:
-            if len(self._series) >= self.max_series:
-                self._record_dropped(key)
-                raise CardinalityError(
-                    f"metric {self.name!r} already has {len(self._series)} label "
-                    f"sets (cap {self.max_series}); refusing to create "
-                    f"{dict(zip(self.label_names, key))!r} -- label values must "
-                    "be drawn from a bounded set"
-                )
-            series = self._new_series()
-            self._series[key] = series
+        if series is not None:
+            return series
+        with self._lock:
+            series = self._series.get(key)
+            if series is None:
+                if len(self._series) >= self.max_series:
+                    self._record_dropped(key)
+                    raise CardinalityError(
+                        f"metric {self.name!r} already has {len(self._series)} label "
+                        f"sets (cap {self.max_series}); refusing to create "
+                        f"{dict(zip(self.label_names, key))!r} -- label values must "
+                        "be drawn from a bounded set"
+                    )
+                series = self._series[key] = self._series_cls(self)
         return series
 
     def _record_dropped(self, key: tuple[str, ...]) -> None:
@@ -263,143 +375,46 @@ class _Metric:
                 dict(zip(self.label_names, key)), DROPPED_SERIES_METRIC,
             )
 
-    def labels(self, **labels: str) -> _Bound:
-        """The series for one concrete label-value combination."""
-        if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
-            raise MetricError(
-                f"metric {self.name!r} takes labels {list(self.label_names)}, "
-                f"got {sorted(labels)}"
-            )
-        key = tuple(str(labels[name]) for name in self.label_names)
-        with self._lock:
-            self._series_for(key)  # cardinality guard fires at creation
-        return _Bound(self, key)
+    def labels(self, **labels: str) -> Any:
+        """The handle of one label-value combination, memoised: the
+        same values always return the same object, so callers keep no
+        handle caches of their own.  The cardinality guard fires when
+        a new combination would exceed the cap."""
+        names = self.label_names
+        if len(labels) == len(names):
+            try:
+                key = tuple(map(str, map(labels.__getitem__, names)))
+            except KeyError:
+                pass
+            else:
+                return self._series_for(key)
+        raise MetricError(
+            f"metric {self.name!r} takes labels {list(names)}, got {sorted(labels)}"
+        )
 
-    def local(self, **labels: str) -> Any:
-        """A **lock-free** write handle for one series.
+    #: The lock-free per-thread write handle of a counter or histogram
+    #: series is its one handle (see :class:`_CounterSeries`).
+    local = labels
 
-        The handle accumulates into per-thread cells (one plain list
-        slot per writer thread, no lock, no CAS -- the GIL makes the
-        float add atomic enough) and the owning metric folds every
-        cell in lazily whenever the series is *read*: ``expose()``,
-        ``snapshot()``, ``value``/``sum``/``count``/``quantile``, and
-        ``merge_from`` all see stored + pending-local.  This is the
-        hot-path layout of the sharded data plane: worker threads
-        record telemetry with zero shared-state contention and the
-        ``/metrics`` scrape pays the merge.
-
-        Caveats: ``reset()`` concurrent with active writers may lose
-        in-flight increments (each cell is zeroed without stopping its
-        owner), and a scrape racing a histogram observation may see
-        ``sum``/``count`` momentarily skewed by one sample.  Both
-        settle at quiescence; neither can corrupt state.
-        """
-        if tuple(sorted(labels)) != tuple(sorted(self.label_names)):
-            raise MetricError(
-                f"metric {self.name!r} takes labels {list(self.label_names)}, "
-                f"got {sorted(labels)}"
-            )
-        key = tuple(str(labels[name]) for name in self.label_names)
-        return self._local_for(key)
-
-    def _local_for(self, key: tuple[str, ...]) -> Any:
-        cls = self._local_cls
-        if cls is None:
-            raise MetricError(
-                f"{self.kind} {self.name!r} does not support local() handles"
-            )
-        handle = cls(self, key)
-        with self._lock:
-            self._series_for(key)  # cardinality guard + stored cell
-            self._locals.setdefault(key, []).append(handle)
-        return handle
-
-    def _local_totals(self, key: tuple[str, ...]) -> float:
-        """Sum of all pending per-thread cells for *key* (counters)."""
-        handles = self._locals.get(key)
-        if not handles:
-            return 0.0
-        return sum(cell[0] for handle in handles for cell in handle._cells)
-
-    def _zero_locals(self) -> None:
-        for handles in self._locals.values():
-            for handle in handles:
-                handle._zero()
-
-    def _require_unlabeled(self) -> tuple[str, ...]:
+    def _only(self) -> Any:
         if self.label_names:
             raise MetricError(
                 f"metric {self.name!r} has labels {list(self.label_names)}; "
                 "use .labels(...)"
             )
-        return ()
-
-    # -- direct (unlabeled) API -------------------------------------------
-
-    def inc(self, amount: float = 1.0) -> None:
-        self._inc(self._require_unlabeled(), amount)
-
-    def dec(self, amount: float = 1.0) -> None:
-        self._inc(self._require_unlabeled(), -amount)
-
-    def set(self, value: float) -> None:
-        self._set(self._require_unlabeled(), value)
-
-    def observe(self, value: float) -> None:
-        self._observe(self._require_unlabeled(), value)
-
-    @property
-    def value(self) -> float:
-        return self._value(self._require_unlabeled())
-
-    def quantile(self, q: float) -> float:
-        return self._quantile(self._require_unlabeled(), q)
-
-    @property
-    def sum(self) -> float:
-        return self._sum_of(self._require_unlabeled())
-
-    @property
-    def count(self) -> float:
-        return self._count_of(self._require_unlabeled())
-
-    # -- per-kind hooks ----------------------------------------------------
-
-    def _inc(self, key: tuple[str, ...], amount: float) -> None:
-        raise MetricError(f"{self.kind} {self.name!r} does not support inc()")
-
-    def _set(self, key: tuple[str, ...], value: float) -> None:
-        raise MetricError(f"{self.kind} {self.name!r} does not support set()")
-
-    def _observe(self, key: tuple[str, ...], value: float) -> None:
-        raise MetricError(f"{self.kind} {self.name!r} does not support observe()")
-
-    def _value(self, key: tuple[str, ...]) -> float:
-        with self._lock:
-            series = self._series.get(key)
-            return 0.0 if series is None else float(series)
-
-    def _quantile(self, key: tuple[str, ...], q: float) -> float:
-        raise MetricError(f"{self.kind} {self.name!r} has no quantiles")
-
-    def _sum_of(self, key: tuple[str, ...]) -> float:
-        return self._value(key)
-
-    def _count_of(self, key: tuple[str, ...]) -> float:
-        raise MetricError(f"{self.kind} {self.name!r} has no sample count")
+        return self._series[()]
 
     def _reset(self) -> None:
         with self._lock:
-            for key in self._series:
-                self._series[key] = self._new_series()
-            self._zero_locals()
+            for series in self._series.values():
+                series._zero()
 
     # -- export ------------------------------------------------------------
 
     def _samples(self) -> Iterator[tuple[str, str, float]]:
-        """Yield (suffix, rendered_labels, value) under the lock."""
+        """Yield (suffix, rendered_labels, value); caller holds the lock."""
         for key in sorted(self._series):
-            yield "", _render_labels(self.label_names, key), float(self._series[key])
+            yield "", _render_labels(self.label_names, key), self._series[key].value
 
     def _om_lines(self) -> Iterator[str]:
         """OpenMetrics sample lines (histograms override to attach
@@ -430,176 +445,53 @@ class _Metric:
                 out[f"{self.name}{suffix}{labels}"] = value
 
 
-class _LocalCounter:
-    """Per-thread accumulation cells for one counter series.
-
-    Writes touch only the calling thread's cell; the owning metric
-    folds every cell in at read time (:meth:`_Metric.local`).
-    """
-
-    __slots__ = ("_metric", "_key", "_threads", "_cells")
-
-    def __init__(self, metric: "_Metric", key: tuple[str, ...]):
-        self._metric = metric
-        self._key = key
-        self._threads = threading.local()
-        self._cells: list[list[float]] = []
-        # Bind the constructing thread's cell eagerly: handles are
-        # created at instrument-construction time (ProxyStats /
-        # APIServer __init__), so the common writer's first inc pays
-        # no lock -- only threads that join later bind lazily.
-        self._bind_cell()
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise MetricError(f"counter {self._metric.name!r} cannot decrease")
-        try:
-            cell = self._threads.cell
-        except AttributeError:
-            cell = self._bind_cell()
-        cell[0] += amount
-
-    def _bind_cell(self) -> list[float]:
-        cell = [0.0]
-        with self._metric._lock:
-            self._cells.append(cell)
-        self._threads.cell = cell
-        return cell
-
-    def _zero(self) -> None:
-        for cell in self._cells:
-            cell[0] = 0.0
-
-    # Read-side conveniences fold across *all* writers of the series.
-    @property
-    def value(self) -> float:
-        return self._metric._value(self._key)
-
-
-class _LocalHistogram:
-    """Per-thread ``[bucket_counts, sum, count]`` cells for one
-    histogram series, folded at read time."""
-
-    __slots__ = ("_metric", "_key", "_bounds", "_threads", "_cells", "_exslots")
-
-    def __init__(self, metric: "Histogram", key: tuple[str, ...]):
-        self._metric = metric
-        self._key = key
-        self._bounds = metric.bounds
-        self._threads = threading.local()
-        self._cells: list[list[Any]] = []
-        self._exslots = metric._exemplar_slots(key)
-        self._bind_cell()  # constructing thread binds eagerly (see _LocalCounter)
-
-    def observe(self, value: float) -> None:
-        try:
-            cell = self._threads.cell
-        except AttributeError:
-            cell = self._bind_cell()
-        idx = bisect_left(self._bounds, value)
-        cell[0][idx] += 1
-        cell[1] += value
-        cell[2] += 1
-        trace_id = _TRACE_PROVIDER()
-        if trace_id:
-            # GIL-atomic slot assignment: latest traced observation per
-            # bucket (emitted only in OpenMetrics exposition).
-            self._exslots[idx] = (float(value), trace_id, time.time())
-
-    def _bind_cell(self) -> list[Any]:
-        cell = [[0] * (len(self._bounds) + 1), 0.0, 0]
-        with self._metric._lock:
-            self._cells.append(cell)
-        self._threads.cell = cell
-        return cell
-
-    def _zero(self) -> None:
-        for cell in self._cells:
-            cell[0] = [0] * (len(self._bounds) + 1)
-            cell[1] = 0.0
-            cell[2] = 0
-
-    @property
-    def sum(self) -> float:
-        return self._metric._sum_of(self._key)
-
-    @property
-    def count(self) -> float:
-        return self._metric._count_of(self._key)
-
-    def quantile(self, q: float) -> float:
-        return self._metric._quantile(self._key, q)
-
-
 class Counter(_Metric):
     """A monotonically increasing count."""
 
     kind = "counter"
-    _local_cls = _LocalCounter
+    _series_cls = _CounterSeries
 
-    def _new_series(self) -> float:
-        return 0.0
+    def inc(self, amount: float = 1.0) -> None:
+        self._only().inc(amount)
 
-    def _inc(self, key: tuple[str, ...], amount: float) -> None:
-        if amount < 0:
-            raise MetricError(f"counter {self.name!r} cannot decrease")
-        series = self._series
-        with self._lock:
-            # Fast path: the series almost always exists already (bound
-            # instruments create it at labels() time).
-            if key in series:
-                series[key] += amount
-            else:
-                series[key] = self._series_for(key) + amount
-
-    def _value(self, key: tuple[str, ...]) -> float:
-        with self._lock:
-            series = self._series.get(key)
-            stored = 0.0 if series is None else float(series)
-            return stored + self._local_totals(key)
-
-    def _samples(self) -> Iterator[tuple[str, str, float]]:
-        for key in sorted(self._series):
-            yield (
-                "",
-                _render_labels(self.label_names, key),
-                float(self._series[key]) + self._local_totals(key),
-            )
+    @property
+    def value(self) -> float:
+        return self._only().value
 
     def merge_from(self, other: "Counter") -> None:
         with other._lock:
-            items = [
-                (key, value + other._local_totals(key))
-                for key, value in other._series.items()
-            ]
-        with self._lock:
-            for key, value in items:
-                self._series[key] = self._series_for(key) + value
+            items = [(key, series.value) for key, series in other._series.items()]
+        for key, value in items:
+            self._series_for(key).inc(value)
 
 
 class Gauge(_Metric):
     """A value that can go up and down."""
 
     kind = "gauge"
+    _series_cls = _GaugeSeries
 
-    def _new_series(self) -> float:
-        return 0.0
+    def local(self, **labels: str) -> Any:
+        raise MetricError(f"gauge {self.name!r} does not support local() handles")
 
-    def _inc(self, key: tuple[str, ...], amount: float) -> None:
-        with self._lock:
-            self._series[key] = self._series_for(key) + amount
+    def set(self, value: float) -> None:
+        self._only().set(value)
 
-    def _set(self, key: tuple[str, ...], value: float) -> None:
-        with self._lock:
-            self._series_for(key)
-            self._series[key] = float(value)
+    def inc(self, amount: float = 1.0) -> None:
+        self._only().inc(amount)
+
+    def dec(self, amount: float = 1.0) -> None:
+        self._only().dec(amount)
+
+    @property
+    def value(self) -> float:
+        return self._only().value
 
     def merge_from(self, other: "Gauge") -> None:
         with other._lock:
-            items = list(other._series.items())
-        with self._lock:
-            for key, value in items:
-                self._series[key] = self._series_for(key) + value
+            items = [(key, series.value) for key, series in other._series.items()]
+        for key, value in items:
+            self._series_for(key).inc(value)
 
 
 class Histogram(_Metric):
@@ -613,7 +505,7 @@ class Histogram(_Metric):
     """
 
     kind = "histogram"
-    _local_cls = _LocalHistogram
+    _series_cls = _HistogramSeries
 
     def __init__(self, name: str, help: str, label_names: tuple[str, ...],
                  lock: threading.RLock, buckets: tuple[float, ...] | None = None,
@@ -623,90 +515,33 @@ class Histogram(_Metric):
         if not bounds:
             raise MetricError(f"histogram {name!r} needs at least one bucket bound")
         self.bounds = bounds
-        #: key -> per-bucket exemplar slots: ``(value, trace_id, ts)``
-        #: or None, latest traced observation per bucket.
-        self._exemplars: dict[tuple[str, ...], list[Any]] = {}
         super().__init__(name, help, label_names, lock, max_series, registry)
 
-    def _exemplar_slots(self, key: tuple[str, ...]) -> list[Any]:
-        slots = self._exemplars.get(key)
-        if slots is None:
-            with self._lock:
-                slots = self._exemplars.setdefault(
-                    key, [None] * (len(self.bounds) + 1)
-                )
-        return slots
+    def observe(self, value: float) -> None:
+        self._only().observe(value)
 
-    def _new_series(self) -> list[Any]:
-        return [[0] * (len(self.bounds) + 1), 0.0, 0]
+    @property
+    def sum(self) -> float:
+        return self._only().sum
 
-    def _observe(self, key: tuple[str, ...], value: float) -> None:
-        idx = bisect_left(self.bounds, value)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series_for(key)
-            series[0][idx] += 1
-            series[1] += value
-            series[2] += 1
-        trace_id = _TRACE_PROVIDER()
-        if trace_id:
-            self._exemplar_slots(key)[idx] = (float(value), trace_id, time.time())
+    @property
+    def count(self) -> float:
+        return self._only().count
 
-    def _folded(self, key: tuple[str, ...]) -> list[Any]:
-        """``[counts, sum, count]`` snapshot of stored + pending-local
-        state for *key*.  Caller holds the lock."""
-        series = self._series.get(key)
-        if series is None:
-            folded = self._new_series()
-        else:
-            folded = [series[0][:], series[1], series[2]]
-        handles = self._locals.get(key)
-        if handles:
-            counts = folded[0]
-            for handle in handles:
-                for cell in handle._cells:
-                    for idx, n in enumerate(cell[0]):
-                        if n:
-                            counts[idx] += n
-                    folded[1] += cell[1]
-                    folded[2] += cell[2]
-        return folded
-
-    def _value(self, key: tuple[str, ...]) -> float:
-        return self._sum_of(key)
-
-    def _sum_of(self, key: tuple[str, ...]) -> float:
-        with self._lock:
-            return float(self._folded(key)[1])
-
-    def _count_of(self, key: tuple[str, ...]) -> float:
-        with self._lock:
-            return float(self._folded(key)[2])
-
-    def _quantile(self, key: tuple[str, ...], q: float) -> float:
-        with self._lock:
-            counts = self._folded(key)[0]
-        return bucket_quantile(
-            zip(self.bounds + (float("inf"),), accumulate(counts)), q
-        )
+    def quantile(self, q: float) -> float:
+        return self._only().quantile(q)
 
     def merge_from(self, other: "Histogram") -> None:
         if other.bounds != self.bounds:
             raise MetricError(f"histogram {self.name!r}: bucket bounds differ")
         with other._lock:
-            items = [(k, other._folded(k)) for k in other._series]
-        with self._lock:
-            for key, (counts, total, count) in items:
-                series = self._series_for(key)
-                for idx, n in enumerate(counts):
-                    series[0][idx] += n
-                series[1] += total
-                series[2] += count
+            items = [(key, series._folded()) for key, series in other._series.items()]
+        for key, folded in items:
+            self._series_for(key)._add(*folded)
 
     def _samples(self) -> Iterator[tuple[str, str, float]]:
         for key in sorted(self._series):
-            counts, total, count = self._folded(key)
+            counts, total, count = self._series[key]._folded()
             cumulative = 0
             for idx, bound in enumerate(self.bounds):
                 cumulative += counts[idx]
@@ -738,23 +573,22 @@ class Histogram(_Metric):
         lock."""
         name = self.name
         for key in sorted(self._series):
-            counts, total, count = self._folded(key)
-            slots = self._exemplars.get(key)
+            series = self._series[key]
+            counts, total, count = series._folded()
+            slots = series._exemplars
             cumulative = 0
             for idx, bound in enumerate(self.bounds):
                 cumulative += counts[idx]
                 labels = _render_labels(self.label_names, key,
                                         (("le", _format_value(bound)),))
                 line = f"{name}_bucket{labels} {_format_value(float(cumulative))}"
-                exemplar = slots[idx] if slots else None
-                if exemplar is not None:
-                    line += self._format_exemplar(exemplar)
+                if slots[idx] is not None:
+                    line += self._format_exemplar(slots[idx])
                 yield line
             labels = _render_labels(self.label_names, key, (("le", "+Inf"),))
             line = f"{name}_bucket{labels} {_format_value(float(count))}"
-            exemplar = slots[-1] if slots else None
-            if exemplar is not None:
-                line += self._format_exemplar(exemplar)
+            if slots[-1] is not None:
+                line += self._format_exemplar(slots[-1])
             yield line
             plain = _render_labels(self.label_names, key)
             yield f"{name}_sum{plain} {_format_value(float(total))}"
@@ -766,7 +600,7 @@ class MetricsRegistry:
 
     ``counter``/``gauge``/``histogram`` are get-or-create: asking for
     an existing name with matching type and labels returns the same
-    instrument (so façades and handlers can re-derive instruments
+    instrument (so components and handlers can re-derive instruments
     cheaply); a mismatch raises :class:`MetricError`.
     """
 

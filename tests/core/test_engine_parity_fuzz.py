@@ -130,11 +130,11 @@ def test_cache_serves_hits_within_one_revision(nginx_validator, nginx_deployment
     gate = _gate(nginx_validator)
     first = gate.check(nginx_deployment)
     assert first.allowed
-    before_hits = gate.stats.cache_hits
+    before_hits = gate.stats.cache_hits.value
     second = gate.check(nginx_deployment)
     assert second.allowed
     assert second is first  # the cached ValidationResult object itself
-    assert gate.stats.cache_hits == before_hits + 1
+    assert gate.stats.cache_hits.value == before_hits + 1
 
 
 def test_in_place_mutation_invalidates_cached_allows(validators, default_manifests):

@@ -24,8 +24,8 @@ class TestMediation:
         result = client.deploy_chart(chart)
         assert result.all_ok
         assert cluster.store.list("Deployment")
-        assert proxy.stats.requests_denied == 0
-        assert proxy.stats.requests_validated == len(result.responses)
+        assert proxy.stats.denied.value == 0
+        assert proxy.stats.validated.value == len(result.responses)
 
     def test_malicious_write_denied_before_api_server(self):
         chart, cluster, proxy = _setup()
@@ -52,10 +52,10 @@ class TestMediation:
     def test_reads_pass_through_unvalidated(self):
         chart, cluster, proxy = _setup()
         OperatorClient(proxy).deploy_chart(chart)
-        validated_before = proxy.stats.requests_validated
+        validated_before = proxy.stats.validated.value
         response = proxy.submit(ApiRequest("list", "Deployment", User("eve")))
         assert response.ok
-        assert proxy.stats.requests_validated == validated_before
+        assert proxy.stats.validated.value == validated_before
 
     def test_updates_validated(self):
         chart, cluster, proxy = _setup()
@@ -83,8 +83,8 @@ class TestMediation:
     def test_stats_accumulate(self):
         chart, cluster, proxy = _setup()
         OperatorClient(proxy).deploy_chart(chart)
-        assert proxy.stats.requests_total == proxy.stats.requests_validated
-        assert proxy.stats.validation_seconds > 0
+        assert proxy.stats.requests.value == proxy.stats.validated.value
+        assert proxy.stats.latency_hit.sum + proxy.stats.latency_miss.sum > 0
 
 
 class TestProxyDecisionCache:
@@ -98,10 +98,9 @@ class TestProxyDecisionCache:
         chart, cluster, proxy = _setup()
         deployment = self._deployment(chart)
         proxy.submit(ApiRequest.from_manifest(deployment, User.admin(), "create"))
-        assert (proxy.stats.cache_misses, proxy.stats.cache_hits) == (1, 0)
+        assert (proxy.stats.cache_misses.value, proxy.stats.cache_hits.value) == (1, 0)
         proxy.submit(ApiRequest.from_manifest(deployment, User.admin(), "update"))
-        assert (proxy.stats.cache_misses, proxy.stats.cache_hits) == (1, 1)
-        assert proxy.stats.cache_hit_rate == 0.5
+        assert (proxy.stats.cache_misses.value, proxy.stats.cache_hits.value) == (1, 1)
 
     def test_cached_denial_still_denied_and_logged(self):
         chart, cluster, proxy = _setup()
@@ -110,7 +109,7 @@ class TestProxyDecisionCache:
         first = proxy.submit(ApiRequest.from_manifest(bad, User("eve")))
         second = proxy.submit(ApiRequest.from_manifest(bad, User("eve")))
         assert first.code == second.code == 403
-        assert proxy.stats.cache_hits == 1
+        assert proxy.stats.cache_hits.value == 1
         # The audit trail records every denied request, cached or not.
         assert len(proxy.denials) == 2
 
@@ -122,17 +121,17 @@ class TestProxyDecisionCache:
         proxy.install_validator(replacement)
         assert proxy.validator is replacement
         proxy.submit(ApiRequest.from_manifest(deployment, User.admin(), "update"))
-        assert (proxy.stats.cache_misses, proxy.stats.cache_hits) == (2, 0)
+        assert (proxy.stats.cache_misses.value, proxy.stats.cache_hits.value) == (2, 0)
 
     def test_policy_revision_bump_invalidates(self):
         chart, cluster, proxy = _setup()
         deployment = self._deployment(chart)
         proxy.submit(ApiRequest.from_manifest(deployment, User.admin(), "create"))
         proxy.submit(ApiRequest.from_manifest(deployment, User.admin(), "update"))
-        assert proxy.stats.cache_hits == 1
+        assert proxy.stats.cache_hits.value == 1
         proxy.validator.invalidate_compiled()  # in-place policy edit
         proxy.submit(ApiRequest.from_manifest(deployment, User.admin(), "update"))
-        assert (proxy.stats.cache_misses, proxy.stats.cache_hits) == (2, 1)
+        assert (proxy.stats.cache_misses.value, proxy.stats.cache_hits.value) == (2, 1)
 
     def test_uncacheable_body_validated_every_time(self):
         chart, cluster, proxy = _setup()
@@ -144,8 +143,8 @@ class TestProxyDecisionCache:
         }
         for _ in range(2):
             proxy.submit(ApiRequest.from_manifest(weird, User.admin(), "create"))
-        assert proxy.stats.requests_validated == 2
-        assert (proxy.stats.cache_misses, proxy.stats.cache_hits) == (0, 0)
+        assert proxy.stats.validated.value == 2
+        assert (proxy.stats.cache_misses.value, proxy.stats.cache_hits.value) == (0, 0)
 
     def test_cache_disabled(self):
         chart = get_chart("nginx")
@@ -153,14 +152,14 @@ class TestProxyDecisionCache:
         deployment = self._deployment(chart)
         proxy.submit(ApiRequest.from_manifest(deployment, User.admin(), "create"))
         proxy.submit(ApiRequest.from_manifest(deployment, User.admin(), "update"))
-        assert (proxy.stats.cache_misses, proxy.stats.cache_hits) == (0, 0)
-        assert proxy.stats.requests_validated == 2
+        assert (proxy.stats.cache_misses.value, proxy.stats.cache_hits.value) == (0, 0)
+        assert proxy.stats.validated.value == 2
 
     def test_validation_latency_percentiles_recorded(self):
         chart, cluster, proxy = _setup()
         OperatorClient(proxy).deploy_chart(chart)
-        assert proxy.stats.validation_ns_p50 > 0
-        assert proxy.stats.validation_ns_p99 >= proxy.stats.validation_ns_p50
+        assert proxy.stats.latency_miss.quantile(0.5) > 0
+        assert proxy.stats.latency_miss.quantile(0.99) >= proxy.stats.latency_miss.quantile(0.5)
 
 
 class TestFailStaticDegradation:

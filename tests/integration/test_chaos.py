@@ -146,7 +146,7 @@ def test_http_chaos_metrics_surface_retries(faulty_http_stack, nginx_chart):
             operator.apply(manifest)
 
     exposition = fetch(proxy.base_url + "/metrics")
-    snapshot = proxy.stats.snapshot()
+    snapshot = proxy.stats.registry.snapshot()
     if injector.counts["error"] or injector.counts["reset"] or injector.counts["partial"]:
         assert snapshot.get("kubefence_retries_total", 0) > 0
         assert "kubefence_retries_total" in exposition
@@ -178,7 +178,7 @@ def test_http_blackout_breaker_opens_then_recovers(nginx_validator, nginx_chart)
             assert refused > 0
             assert proxy.breaker is not None
             assert proxy.breaker.state == "open"
-            snapshot = proxy.stats.snapshot()
+            snapshot = proxy.stats.registry.snapshot()
             assert snapshot.get("kubefence_breaker_state") == 1.0
             assert snapshot.get(
                 'kubefence_degraded_requests_total{mode="refused"}', 0
@@ -190,7 +190,7 @@ def test_http_blackout_breaker_opens_then_recovers(nginx_validator, nginx_chart)
             status, _ = client.apply(manifest)
             assert 200 <= status < 300
             assert proxy.breaker.state == "closed"
-            assert proxy.stats.snapshot().get("kubefence_breaker_state") == 0.0
+            assert proxy.stats.registry.snapshot().get("kubefence_breaker_state") == 0.0
 
 
 def test_dead_upstream_refuses_closed_and_still_denies(
@@ -214,7 +214,7 @@ def test_dead_upstream_refuses_closed_and_still_denies(
             status, _ = attacker.apply(bad)
             assert status in (403, 503)  # local denial unaffected
 
-        snapshot = proxy.stats.snapshot()
+        snapshot = proxy.stats.registry.snapshot()
         assert snapshot.get(
             'kubefence_degraded_requests_total{mode="refused"}', 0
         ) > 0
@@ -246,7 +246,7 @@ def test_http_write_not_replayed_after_transport_error(
             status, body = client.create(manifest)
             assert status == 503, body
             assert injector.requests_seen == 1
-            assert proxy.stats.snapshot().get(
+            assert proxy.stats.registry.snapshot().get(
                 "kubefence_retries_total", 0
             ) == 0
 
@@ -255,7 +255,7 @@ def test_http_write_not_replayed_after_transport_error(
             status, _ = client.get("Service", manifest["metadata"]["name"])
             assert injector.requests_seen >= 2  # transport retry happened
             assert status == 404  # the POST was never applied upstream
-            assert proxy.stats.snapshot().get(
+            assert proxy.stats.registry.snapshot().get(
                 "kubefence_retries_total", 0
             ) >= 1
 
@@ -310,7 +310,7 @@ def test_http_fail_static_serves_stale_reads(nginx_validator, nginx_chart):
                 )
                 body = json.loads(resp.read())
             assert body["metadata"]["name"] == name
-            assert proxy.stats.snapshot().get(
+            assert proxy.stats.registry.snapshot().get(
                 'kubefence_degraded_requests_total{mode="stale-read"}', 0
             ) > 0
 

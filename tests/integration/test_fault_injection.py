@@ -271,7 +271,7 @@ class TestMalformedFramingFailsClosed:
         assert trailing == b""
         assert not cluster.store.list("Pod")  # nothing committed
         # Never reached the decision path or the upstream ...
-        assert proxy.stats.requests_total == 0
+        assert proxy.stats.requests.value == 0
         assert not proxy.denials
         upstream = cluster.api.metrics.snapshot()
         assert self._series_total(
@@ -297,3 +297,100 @@ class TestMalformedFramingFailsClosed:
                         if m["kind"] == "Service")
         status, _ = HttpClient(proxy.base_url).apply(manifest)
         assert status == 201
+
+
+def _raw_reply(base_url: str, request: bytes) -> bytes:
+    """Send *request* on a fresh socket; everything the frontend wrote
+    before closing (``b""`` when it hung up without a reply)."""
+    import socket
+    from urllib.parse import urlsplit
+
+    netloc = urlsplit(base_url)
+    with socket.create_connection((netloc.hostname, netloc.port), timeout=3) as sock:
+        sock.sendall(request)
+        received = b""
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:
+            pass
+        return received
+
+
+class TestClientChosenLabelsStayBounded:
+    """Label values a client picks must not exhaust a metric's
+    cardinality cap: a refused label set used to raise out of the
+    reply writer (dropping replies, the scrape included) and out of
+    the deny path (erasing the denial's record and event)."""
+
+    @pytest.fixture()
+    def http_stack(self, validator, leak_checker):
+        cluster = Cluster()
+        token = leak_checker.begin()
+        with HttpApiServer(cluster.api) as server:
+            with HttpKubeFenceProxy(server.base_url, validator) as proxy:
+                yield server, proxy
+        leak_checker.end(token)
+
+    @pytest.mark.parametrize("frontend", ["apiserver", "proxy"])
+    def test_junk_methods_cannot_silence_replies(self, http_stack, frontend):
+        server, proxy = http_stack
+        target = server if frontend == "apiserver" else proxy
+        for i in range(140):  # past http_requests_total's 128-series cap
+            reply = _raw_reply(target.base_url, b"JUNK%d / HTTP/1.1\r\nHost: x\r\n\r\n" % i)
+            assert reply.startswith(b"HTTP/1.0 501") or reply.startswith(b"HTTP/1.1 501")
+        for path, status in ((b"/healthz", b"200"),
+                             (b"/api/v1/namespaces/default/nosuchkinds", b"404"),
+                             (b"/metrics", b"200")):
+            reply = _raw_reply(
+                target.base_url,
+                b"GET " + path + b" HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+            )
+            assert reply.split(b"\r\n", 1)[0].split(b" ")[1] == status, path
+        assert b'http_requests_total{method="other",code="501"} 140' in reply
+        assert b"JUNK" not in reply
+
+    @staticmethod
+    def _pod(name: str, kind: str = "Pod", host_network: bool = False) -> dict:
+        spec: dict = {"containers": [{"name": "c", "image": "busybox"}]}
+        if host_network:
+            spec["hostNetwork"] = True
+        return {"apiVersion": "v1", "kind": kind,
+                "metadata": {"name": name, "namespace": "default"}, "spec": spec}
+
+    def test_junk_kinds_cannot_erase_denials(self, validator):
+        from repro.obs.analytics.events import EventBus
+
+        bus = EventBus()
+        proxy = KubeFenceProxy(Cluster().api, validator, event_bus=bus)
+        for i in range(300):  # past kubefence_denials_total's 256-series cap
+            proxy.submit(ApiRequest.from_manifest(
+                self._pod(f"junk-{i}", kind=f"Junk{i}"), User("eve")))
+        response = proxy.submit(ApiRequest.from_manifest(
+            self._pod("escape", host_network=True), User("eve")))
+        assert response.code == 403
+        assert len(proxy.denials) == 301
+        assert proxy.denials[-1].name == "escape"
+        denies = [e for e in bus.events(kind="decision") if e.outcome == "deny"]
+        assert len(denies) == 301 and denies[-1].name == "escape"
+        series = proxy.stats.registry.snapshot()
+        junk = [s for s in series if s.startswith("kubefence_denials_total") and "Junk" in s]
+        assert junk == []
+        assert sum(v for s, v in series.items()
+                   if s.startswith("kubefence_denials_total") and 'kind="other"' in s) == 300
+
+    def test_denial_recorded_when_the_metric_refuses_its_label_set(self, validator):
+        from repro.obs.analytics.events import EventBus
+        from repro.obs.metrics import DROPPED_SERIES_METRIC
+
+        bus = EventBus()
+        proxy = KubeFenceProxy(Cluster().api, validator, event_bus=bus)
+        proxy.stats.denials.max_series = 0  # every new label set refused
+        response = proxy.submit(ApiRequest.from_manifest(
+            self._pod("escape", host_network=True), User("eve")))
+        assert response.code == 403
+        assert [d.name for d in proxy.denials] == ["escape"]
+        assert [e.name for e in bus.events(kind="decision") if e.outcome == "deny"] == ["escape"]
+        assert proxy.stats.denied.value == 1
+        assert proxy.stats.registry.snapshot()[
+            f'{DROPPED_SERIES_METRIC}{{metric="kubefence_denials_total"}}'] == 1

@@ -100,8 +100,8 @@ class TestKeepAliveAndCache:
         from urllib.parse import urlsplit
 
         chart, cluster, server, proxy = topology
-        opened_before = proxy.stats.connections_opened
-        reused_before = proxy.stats.connections_reused
+        opened_before = proxy.stats.connections_opened.value
+        reused_before = proxy.stats.connections_reused.value
 
         manifest = next(
             m
@@ -122,14 +122,14 @@ class TestKeepAliveAndCache:
         finally:
             conn.close()
 
-        assert proxy.stats.connections_opened == opened_before + 1
-        assert proxy.stats.connections_reused >= reused_before + 3
+        assert proxy.stats.connections_opened.value == opened_before + 1
+        assert proxy.stats.connections_reused.value >= reused_before + 3
 
     def test_http_proxy_decision_cache_hits(self, topology):
         """Identical bodies resubmitted over HTTP are decided from the
         proxy's cache; the latency percentiles are populated."""
         chart, cluster, server, proxy = topology
-        hits_before = proxy.stats.cache_hits
+        hits_before = proxy.stats.cache_hits.value
         client = HttpClient(proxy.base_url, username="nginx-operator")
         manifest = next(
             m
@@ -139,8 +139,8 @@ class TestKeepAliveAndCache:
         for _ in range(3):
             status, _ = client.apply(manifest)
             assert status in (200, 201)
-        assert proxy.stats.cache_hits >= hits_before + 2
-        assert proxy.stats.validation_ns_p99 >= proxy.stats.validation_ns_p50 > 0
+        assert proxy.stats.cache_hits.value >= hits_before + 2
+        assert proxy.stats.latency_miss.quantile(0.99) >= proxy.stats.latency_miss.quantile(0.5) > 0
 
 
 # -- transport parity ------------------------------------------------------
@@ -312,14 +312,14 @@ class TestTransportParity:
                 arm = arm_type(
                     validator, stack, FaultPlan(name="hiccup", fail_first=1)
                 )
-                before = arm.proxy.stats.snapshot()
+                before = arm.proxy.stats.registry.snapshot()
                 codes, bodies = _parity_script(arm, chart)
                 observed[arm_type] = {
                     "codes": codes,
                     "bodies": bodies,
                     "denials": list(arm.proxy.denials),
                     "counters": _comparable_counters(
-                        delta(before, arm.proxy.stats.snapshot())
+                        delta(before, arm.proxy.stats.registry.snapshot())
                     ),
                     "events": [
                         _comparable_event(e) for e in arm.bus.events(kind="decision")
@@ -381,7 +381,7 @@ class TestTransportParity:
                 )
                 outcome[arm_type] = (
                     status,
-                    arm.proxy.stats.retries_total,
+                    arm.proxy.stats.retries.value,
                     arm.cluster.store.exists(
                         "Service", "default", service["metadata"]["name"]
                     ),

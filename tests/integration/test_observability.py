@@ -104,9 +104,9 @@ class TestEndToEndScrape:
 
         stats = deployed["proxy"].stats
         # apply() = GET probe + write per manifest, plus the denial.
-        assert series["kubefence_requests_total"] == stats.requests_total
+        assert series["kubefence_requests_total"] == stats.requests.value
         assert series["kubefence_requests_total"] >= len(deployed["manifests"]) + 1
-        assert series["kubefence_requests_validated_total"] == stats.requests_validated
+        assert series["kubefence_requests_validated_total"] == stats.validated.value
         assert series["kubefence_requests_denied_total"] == 1
         denial_series = (
             'kubefence_denials_total{operator="nginx",kind="Deployment",'
@@ -114,11 +114,11 @@ class TestEndToEndScrape:
         )
         assert series[denial_series] == 1
         # Decision-cache counters: every distinct body misses once.
-        assert series["kubefence_cache_misses_total"] == stats.cache_misses
-        assert series["kubefence_cache_hits_total"] == stats.cache_hits
+        assert series["kubefence_cache_misses_total"] == stats.cache_misses.value
+        assert series["kubefence_cache_hits_total"] == stats.cache_hits.value
         # Latency histogram: one miss-sample per validated body.
         miss_count = series['kubefence_validation_latency_ns_count{outcome="miss"}']
-        assert miss_count == stats.cache_misses
+        assert miss_count == stats.cache_misses.value
         assert any(
             name.startswith("kubefence_validation_latency_ns_bucket{")
             for name in series

@@ -354,7 +354,7 @@ class TestNewRegistry:
 
 
 # ---------------------------------------------------------------------------
-# Thread-local write handles (the sharded data plane's hot path)
+# Series handles: one memoised per-thread store per series
 # ---------------------------------------------------------------------------
 
 
@@ -365,20 +365,23 @@ class TestLocalHandles:
         handle.inc()
         handle.inc(3)
         assert c.value == 4
-        c.inc(2)  # locked path and local cells fold together
-        assert c.value == 6
+        c.inc(2)  # the unlabeled API writes through the same handle
+        assert c.value == 6 == handle.value
+
+    def test_one_memoised_handle_per_series(self, registry):
+        c = registry.counter("reqs_total", labels=("code",))
+        assert c.labels(code="200") is c.local(code="200")
+        assert c.labels(code="200") is not c.labels(code="500")
+        h = registry.histogram("lat_ns", labels=("outcome",))
+        assert h.local(outcome="hit") is h.labels(outcome="hit")
+        plain = registry.counter("plain_total")
+        assert plain.labels() is plain.local()
 
     def test_labeled_counter_local(self, registry):
         c = registry.counter("denials_total", labels=("reason",))
         c.local(reason="field-not-allowed").inc(2)
         c.labels(reason="field-not-allowed").inc()
         assert c.labels(reason="field-not-allowed").value == 3
-
-    def test_bound_local_shortcut(self, registry):
-        c = registry.counter("reqs_total", labels=("code",))
-        bound = c.labels(code="200")
-        bound.local().inc(5)
-        assert bound.value == 5
 
     def test_local_rejects_label_mismatch(self, registry):
         c = registry.counter("denials_total", labels=("reason",))
