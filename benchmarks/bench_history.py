@@ -1,8 +1,9 @@
 """Append one timestamped row of headline benchmark figures to
 ``benchmarks/results/BENCH_history.jsonl``.
 
-``BENCH_gates.json`` (the perf gates) and ``BENCH_campaign.json`` (the
-campaign matrix) are full point-in-time snapshots; this script distills
+``BENCH_gates.json`` (the perf gates), ``BENCH_campaign.json`` (the
+campaign matrix) and ``BENCH_e2e.json`` (a ``benchmarks/e2e/run.py
+--out`` report) are full point-in-time snapshots; this script distills
 the run into a single JSON line so CI artifacts accumulate a
 machine-readable trend series (one row per CI run) instead of a pile
 of unrelated snapshots.  Trend-watching the
@@ -63,6 +64,19 @@ _EXTRACT: dict[str, tuple[str | None, tuple[str, ...]]] = {
     ),
 }
 
+#: A ``benchmarks/e2e/run.py --out`` report: its first run's end-to-end
+#: metrics become ``e2e_<workload>_<metric>`` columns.
+E2E_SNAPSHOT = "BENCH_e2e.json"
+
+
+def _e2e_columns(report: dict[str, Any]) -> dict[str, Any]:
+    runs = report.get("runs") or [{}]
+    return {
+        f"e2e_{workload}_{metric}": measured["value"]
+        for workload, entry in runs[0].get("workloads", {}).items()
+        for metric, measured in entry.get("end_to_end", {}).get("metrics", {}).items()
+    }
+
 
 def _git_sha() -> str:
     """Commit under measurement: CI env first, local checkout fallback."""
@@ -101,6 +115,9 @@ def build_row(results_dir: Path) -> dict[str, Any]:
             for key in keys:
                 if key in result:
                     row[f"{group}_{key}"] = result[key]
+    report = _load(results_dir / E2E_SNAPSHOT)
+    if report is not None:
+        row.update(_e2e_columns(report))
     return row
 
 

@@ -644,7 +644,14 @@ class HttpUpstream:
     like :class:`APIServer`, over one pooled keep-alive
     ``http.client.HTTPConnection`` per worker thread (both ends speak
     HTTP/1.1), so the hop does not pay a TCP handshake per request;
-    ``kubefence_connections_{opened,reused}_total`` surface the pool."""
+    ``kubefence_connections_{opened,reused}_total`` surface the pool.
+
+    ``http.client`` sends a forwarded write's head and body in two
+    sends; its ``connect`` sets ``TCP_NODELAY``, so the body is not held
+    behind a delayed ACK.  The reply is parsed -- garbage becomes
+    :data:`BAD_UPSTREAM_BODY`, and fail-static caches the parsed body
+    -- and its received bytes ride along as :attr:`ApiResponse.raw`,
+    which the HTTP proxy relays verbatim instead of re-encoding."""
 
     def __init__(self, base_url: str, request_timeout: float):
         split = urlsplit(base_url)
@@ -701,11 +708,14 @@ class HttpUpstream:
             conn.close()
             self._pool.conn = None
             raise
+        data = data or b"{}"
         try:
-            return ApiResponse(reply.status, json.loads(data or b"{}"))
+            response = ApiResponse(reply.status, json.loads(data))
         except ValueError:
             self.stats.upstream_errors.labels(kind="bad-payload").inc()
             return ApiResponse.from_error(BAD_UPSTREAM_BODY)
+        response.raw = data
+        return response
 
 
 class _ProxyHandler(JsonRequestHandler):
@@ -745,9 +755,12 @@ class _ProxyHandler(JsonRequestHandler):
         self.phases.authn(time.perf_counter_ns() - mark)
         response = self.service.submit(request)
         degraded = response.degraded
+        # An upstream reply is relayed as received; a local answer (a
+        # denial, a refusal, a stale read) is encoded here.
         self.reply(
             response.code,
-            response.body if response.body is not None else {},
+            response.raw if response.raw is not None
+            else response.body if response.body is not None else {},
             (("X-KubeFence-Degraded", f"stale-read; age={degraded[1]:.1f}s"),)
             if degraded and degraded[0] == "stale-read" else (),
         )

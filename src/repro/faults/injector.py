@@ -213,16 +213,12 @@ class FaultInjector:
         if kind == "reset":
             self._reset_connection(handler)
             return True
-        # "partial": promise more bytes than are sent, then kill the
-        # connection -- the client sees http.client.IncompleteRead.
+        # "partial": promise more bytes than are sent (one send, like
+        # every reply), then kill the connection -- the client sees
+        # http.client.IncompleteRead.
         payload = b'{"kind":"Status","status":"Failure","message":"truncated'
         try:
-            handler.send_response(200)
-            handler.send_header("Content-Type", "application/json")
-            handler.send_header("Content-Length", str(len(payload) * 2))
-            handler.end_headers()
-            handler.wfile.write(payload)
-            handler.wfile.flush()
+            handler.wfile.write(handler.reply_head(200, len(payload) * 2) + payload)
         except OSError:
             pass
         self._reset_connection(handler)

@@ -107,6 +107,9 @@ class ApiResponse:
     degraded: tuple[str, float] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: the encoded body exactly as an HTTP upstream sent it; a transport
+    #: relays these bytes instead of re-encoding :attr:`body`.
+    raw: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import queue
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -149,7 +150,9 @@ class WorkerPoolHTTPServer(_QuietErrorsMixin, HTTPServer):
     - when the queue is full the connection is answered immediately
       with a prebuilt ``503 ServerSaturated`` and closed -- explicit
       backpressure instead of silent queue growth
-      (:attr:`saturation_rejects` counts these).
+      (:attr:`saturation_rejects` counts these);
+    - every served socket sets ``TCP_NODELAY`` before its worker reads
+      the first request.
     """
 
     #: Explicit lifecycle knobs: rebind a just-closed port immediately
@@ -198,6 +201,9 @@ class WorkerPoolHTTPServer(_QuietErrorsMixin, HTTPServer):
                 return
             request, client_address = item
             try:
+                # Replies leave in one send (JsonRequestHandler.write_reply);
+                # without Nagle that send is never held for an ACK.
+                request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self.finish_request(request, client_address)
             except Exception:  # noqa: BLE001 - mirror ThreadingMixIn
                 self.handle_error(request, client_address)
@@ -279,6 +285,30 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         except CardinalityError:
             pass
 
+    def reply_head(
+        self,
+        code: int,
+        length: int,
+        content_type: str = "application/json",
+        headers: tuple[tuple[str, str], ...] = (),
+    ) -> bytes:
+        """Status line and headers of a reply whose body is *length*
+        bytes, counted on ``http_requests_total``; a ``Connection:
+        close`` among *headers* ends the keep-alive loop after it."""
+        self.log_request(code)
+        lines = [
+            f"{self.protocol_version} {code} {self.responses.get(code, ('',))[0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {length}",
+        ]
+        for name, value in headers:
+            lines.append(f"{name}: {value}")
+            if name.lower() == "connection" and value.lower() == "close":
+                self.close_connection = True
+        return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
     def write_reply(
         self,
         code: int,
@@ -288,23 +318,36 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         head: bool = False,
     ) -> None:
         """The one place either frontend puts a reply on the wire: status
-        line and headers leave in one send (``end_headers`` flushes them),
-        the body in a second; *head* sends the headers of the same reply
-        without the body."""
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in headers:
-            self.send_header(name, value)
-        self.end_headers()
-        if not head:
-            self.wfile.write(body)
+        line, headers and body leave as one buffer in one send; *head*
+        sends the headers of the same reply without the body.
+
+        One send, not two: a body written after the head is a second
+        small segment, and Nagle's algorithm holds it until the peer
+        ACKs the head -- which a delayed-ACK peer does only after its
+        ~40 ms timer.  Accepted sockets also set ``TCP_NODELAY``
+        (:class:`WorkerPoolHTTPServer`)."""
+        wire = self.reply_head(code, len(body), content_type, headers)
+        self.wfile.write(wire if head else wire + body)
+
+    def send_error(self, code: int, message: str | None = None,
+                   explain: str | None = None) -> None:
+        """What the stdlib answers a request it cannot route (a bad
+        request line, oversized line or headers, an unknown method) --
+        here a Kubernetes ``Status`` through :meth:`write_reply`, with
+        ``Connection: close``."""
+        phrase = self.responses.get(code, ("Error",))[0]
+        status = ApiError(code, phrase.replace(" ", ""), message or phrase).to_status()
+        self.write_reply(code, json.dumps(status).encode(),
+                         headers=(("Connection", "close"),),
+                         head=self.command == "HEAD")
 
     def reply(self, code: int, payload: Any,
               headers: tuple[tuple[str, str], ...] = ()) -> None:
-        """Encode *payload* as the JSON reply (serialization phase)."""
+        """Encode *payload* as the JSON reply (serialization phase);
+        *payload* already in ``bytes`` is written as it is."""
         started = time.perf_counter_ns()
-        self.write_reply(code, json.dumps(payload).encode(), headers=headers)
+        body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+        self.write_reply(code, body, headers=headers)
         self.phases.serialization(time.perf_counter_ns() - started)
 
     def _read_body(self) -> bytes | None:

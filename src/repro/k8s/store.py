@@ -294,7 +294,8 @@ class ObjectStore:
             self._revision = revision
             self._objects[key] = stored
             self._maybe_compact_locked()
-            self._emit(StoreEvent("ADDED", stored.copy(), revision))
+            if self._watchers:
+                self._emit(StoreEvent("ADDED", stored.copy(), revision))
             return stored.copy()
 
     def get(self, kind: str, namespace: str, name: str) -> K8sObject:
@@ -333,7 +334,8 @@ class ObjectStore:
             self._revision = revision
             self._objects[key] = stored
             self._maybe_compact_locked()
-            self._emit(StoreEvent("MODIFIED", stored.copy(), revision))
+            if self._watchers:
+                self._emit(StoreEvent("MODIFIED", stored.copy(), revision))
             return stored.copy()
 
     def delete(self, kind: str, namespace: str, name: str) -> K8sObject:
@@ -351,7 +353,8 @@ class ObjectStore:
             self._objects.pop(key)
             self._revision = revision
             self._maybe_compact_locked()
-            self._emit(StoreEvent("DELETED", obj.copy(), revision))
+            if self._watchers:
+                self._emit(StoreEvent("DELETED", obj.copy(), revision))
             return obj
 
     def list(self, kind: str, namespace: str | None = None) -> list[K8sObject]:

@@ -338,7 +338,9 @@ class TestClientChosenLabelsStayBounded:
         target = server if frontend == "apiserver" else proxy
         for i in range(140):  # past http_requests_total's 128-series cap
             reply = _raw_reply(target.base_url, b"JUNK%d / HTTP/1.1\r\nHost: x\r\n\r\n" % i)
-            assert reply.startswith(b"HTTP/1.0 501") or reply.startswith(b"HTTP/1.1 501")
+            assert reply.startswith(b"HTTP/1.1 501")
+            status = json.loads(reply.partition(b"\r\n\r\n")[2])
+            assert (status["kind"], status["code"]) == ("Status", 501)
         for path, status in ((b"/healthz", b"200"),
                              (b"/api/v1/namespaces/default/nosuchkinds", b"404"),
                              (b"/metrics", b"200")):

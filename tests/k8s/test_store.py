@@ -113,6 +113,39 @@ class TestWatch:
         assert revisions == sorted(revisions)
         assert len(set(revisions)) == 3
 
+    def test_watcher_gets_an_independent_copy(self):
+        store = ObjectStore()
+        events = []
+        store.watch(events.append)
+        store.create(make_pod("a"))
+        store.update(make_pod("a"))
+        store.create(make_pod("b"))
+        deleted = store.delete("Pod", "default", "b")
+        assert [e.type for e in events] == ["ADDED", "MODIFIED", "ADDED", "DELETED"]
+        for event in events:
+            event.obj.data["spec"]["mutated"] = True
+        assert "mutated" not in store.get("Pod", "default", "a").data["spec"]
+        assert "mutated" not in deleted.data["spec"]
+
+    def test_no_watcher_no_event_copy(self, monkeypatch):
+        """A write builds its watch event -- a deep copy -- only for a
+        registered watcher."""
+        copies = []
+        original = K8sObject.copy
+        monkeypatch.setattr(K8sObject, "copy",
+                            lambda obj: copies.append(obj) or original(obj))
+
+        def update_copies(store: ObjectStore) -> int:
+            store.create(make_pod("a"))
+            copies.clear()
+            store.update(make_pod("a"))
+            return len(copies)
+
+        unwatched = update_copies(ObjectStore())
+        watched_store = ObjectStore()
+        watched_store.watch(lambda _event: None)
+        assert unwatched == update_copies(watched_store) - 1
+
 
 class TestDeleteRevision:
     def test_delete_stamps_deletion_revision(self):
